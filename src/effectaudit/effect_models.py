@@ -54,6 +54,10 @@ class LogisticField:
     def __post_init__(self):
         if self.count < 1:
             raise InvalidShapeError(f"count must be at least 1, got {self.count}")
+        if not math.isfinite(self.per_effect_logit):
+            raise InvalidShapeError(
+                f"per_effect_logit must be finite, got {self.per_effect_logit!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -345,8 +345,8 @@ def audit_claims(claims: ClaimSet, eps: float | None = None) -> DiagnosticReport
     mo_req = None
     mo_bound = None
     if eps is not None:
-        if eps < 0.0:
-            raise InvalidShapeError(f"eps must be non-negative, got {eps!r}")
+        if not math.isfinite(eps) or eps < 0.0:
+            raise InvalidShapeError(f"eps must be finite and non-negative, got {eps!r}")
         degenerate = multi_outcome_degenerate(tau_min, eps)
         mo_mass = multi_outcome_min_mass(p, tau_min, eps)
         mo_avg, mo_vac, mo_feasible = _mass_requirement(mo_mass, p)

@@ -133,6 +133,20 @@ def test_aggregate_validation_exit_two(capsys):
     assert code == 2 and "count" in err
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_check_claims_non_finite_eps_exit_two(capsys, eps):
+    code, out, err = run(capsys, "check-claims", "--tau", "0.3", "--p", "4", "--eps", eps)
+    assert code == 2 and out == ""
+    assert "eps must be finite" in err
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+def test_aggregate_logistic_non_finite_delta_exit_two(capsys, delta):
+    code, out, err = run(capsys, "aggregate-logistic", "--count", "3", f"--delta={delta}")
+    assert code == 2 and out == ""
+    assert "per_effect_logit must be finite" in err
+
+
 def test_aggregate_logistic_fixture(capsys):
     code, out, _ = run(
         capsys, "aggregate-logistic", "--count", "20", "--delta", "0.5", "--format", "json"

@@ -1,11 +1,13 @@
 """Sample correlations, the Gram-route SVD, and sphere-average simulation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from effectaudit import (
     RunningMoments,
@@ -19,6 +21,11 @@ from effectaudit import (
     standardize,
     sum_sq_corr,
     svd,
+)
+from effectaudit.finite_sample import (
+    _direct_sum_sq_batches,
+    _gram_route,
+    _law_sum_sq_batches,
 )
 from effectaudit.errors import (
     ConstantVectorError,
@@ -313,3 +320,62 @@ def test_chisq_mixture_compare_deterministic_and_small():
     assert 0.0 <= d1 < 0.05  # large-n regime: the mixture is a close fit
     with pytest.raises(InvalidShapeError):
         chisq_mixture_compare(x, trials=10, seed=0)
+
+
+def _duplicated_column_design(n: int, rng: np.random.Generator) -> SampleMatrix:
+    cols = [standardize(rng.standard_normal(n)).values for _ in range(2)]
+    return SampleMatrix(np.column_stack([cols[0], cols[1], cols[0]]))
+
+
+SAMPLER_DESIGNS = [
+    ("n11_p5", lambda rng: random_sample_matrix(11, 5, rng)),
+    ("n7_p6_full", lambda rng: random_sample_matrix(7, 6, rng)),  # n - 1 = p
+    ("n40_p3", lambda rng: random_sample_matrix(40, 3, rng)),
+    ("n12_dup", lambda rng: _duplicated_column_design(12, rng)),
+]
+
+
+@pytest.mark.parametrize("name,make", SAMPLER_DESIGNS, ids=[d[0] for d in SAMPLER_DESIGNS])
+def test_exact_law_sampler_matches_direct_simulator(name, make):
+    # differential test: the O(p) exact-law draws against full sphere draws in R^n
+    x = make(np.random.default_rng(314))
+    trials = 40_000
+    sigma_sq = _gram_route(x)[0] ** 2
+    law = np.concatenate(
+        list(_law_sum_sq_batches(sigma_sq, x.n, trials, np.random.default_rng(1)))
+    )
+    direct = np.concatenate(list(_direct_sum_sq_batches(x, trials, np.random.default_rng(2))))
+    assert law.size == direct.size == trials
+    assert np.all(law >= 0.0) and np.all(law <= svd(x).sigma1_sq * (1.0 + 1e-12))
+    result = stats.ks_2samp(law, direct)
+    assert result.pvalue > 0.01, f"{name}: KS {result.statistic:.4f}, p={result.pvalue:.3g}"
+
+
+def test_direct_simulator_draws_do_not_depend_on_batch_size():
+    x = random_sample_matrix(30, 4, np.random.default_rng(6))
+    one = np.concatenate(list(_direct_sum_sq_batches(x, 1000, np.random.default_rng(3))))
+    # 8 * 30 * 7 bytes: seven rows per batch
+    small = np.concatenate(
+        list(_direct_sum_sq_batches(x, 1000, np.random.default_rng(3), batch_bytes=1680))
+    )
+    np.testing.assert_allclose(small, one, rtol=1e-12, atol=1e-15)
+
+
+def test_mc_very_large_n_memory_stays_bounded():
+    # O(trials * p) memory: a full sphere draw would need 8 * 10^6 bytes per trial
+    n, p = 10**6, 3
+    x = random_sample_matrix(n, p, np.random.default_rng(808))
+    tracemalloc.start()
+    try:
+        est = expected_sum_sq_mc(x, trials=20_000, seed=17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert abs(est.mean - expected_sum_sq(n, p)) < 4.0 * est.stderr
+
+
+def test_chisq_mixture_compare_is_the_asymptotic_law():
+    # at n=11, p=5 the exact law and the large-n mixture differ by construction
+    x = random_sample_matrix(11, 5, np.random.default_rng(91))
+    assert chisq_mixture_compare(x, trials=20_000, seed=4) > 0.05
