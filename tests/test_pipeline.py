@@ -49,6 +49,8 @@ from effectaudit.finite_sample import MonteCarloEstimate
 HERE = os.path.dirname(os.path.abspath(__file__))
 BOUNDARY_CSV = os.path.join(HERE, "data", "boundary.csv")
 GOLDEN_REPORT = os.path.join(HERE, "data", "boundary_report.json")
+# Rendered bytes of every report in round_trip_reports(), one file per mode and format.
+GOLDEN_DIR = os.path.join(HERE, "data", "golden")
 
 
 def csv_bytes(*lines: str) -> bytes:
@@ -389,18 +391,35 @@ def other_mode_reports() -> list[DiagnosticReport]:
     ]
 
 
-def test_report_round_trip_every_mode():
+def round_trip_reports() -> dict[str, DiagnosticReport]:
+    """One report per mode and variant, keyed by its golden file's stem."""
     ds = load_csv_file(BOUNDARY_CSV)
-    reports = [
-        audit_dataset(ds, AuditConfig(outcome_column="y", trials=500, seed=1)),
-        audit_claims(ClaimSet(tau=np.full(4, 0.3))),
-        audit_claims(ClaimSet(tau=np.full(5, 0.5)), eps=0.005),
-    ] + other_mode_reports()
-    reports.append(
-        audit_claims(ClaimSet(tau=np.full(4, 0.3), cross=equicorrelation(4, 0.09)), eps=0.004)
-    )
-    for rep in reports:
+    sphere, aggregate, logistic, mi, tightness = other_mode_reports()
+    return {
+        "dataset": audit_dataset(ds, AuditConfig(outcome_column="y", trials=500, seed=1)),
+        "claims_vacuous": audit_claims(ClaimSet(tau=np.full(4, 0.3))),
+        "claims_eps": audit_claims(ClaimSet(tau=np.full(5, 0.5)), eps=0.005),
+        "claims_cross_eps": audit_claims(
+            ClaimSet(tau=np.full(4, 0.3), cross=equicorrelation(4, 0.09)), eps=0.004
+        ),
+        "sphere": sphere,
+        "aggregate": aggregate,
+        "logistic": logistic,
+        "mi": mi,
+        "tightness": tightness,
+    }
+
+
+def test_report_round_trip_every_mode():
+    for rep in round_trip_reports().values():
         assert parse_report(render_report(rep, "json")) == rep
+
+
+@pytest.mark.parametrize("fmt,ext", [("json", "json"), ("text", "txt")])
+def test_every_mode_renders_its_golden_bytes(fmt, ext):
+    for name, rep in round_trip_reports().items():
+        with open(os.path.join(GOLDEN_DIR, f"{name}.{ext}"), "r", encoding="utf-8") as fh:
+            assert render_report(rep, fmt) == fh.read(), name
 
 
 def test_report_json_schema_top_level():
