@@ -260,13 +260,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         report, status = _COMMANDS[args.command](args)
+        # Strict JSON: a non-finite number in a report is a ValueError here.
+        out = render_report(report, args.format)
     except EffectAuditError as exc:
         print(f"effectaudit: error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, OverflowError) as exc:
         print(f"effectaudit: error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(render_report(report, args.format))
+    sys.stdout.write(out)
     return status
 
 

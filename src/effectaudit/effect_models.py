@@ -36,8 +36,10 @@ class MultiplicativeField:
     def __post_init__(self):
         if self.count < 1:
             raise InvalidShapeError(f"count must be at least 1, got {self.count}")
-        if not self.multiplier > 0.0:
-            raise InvalidShapeError(f"multiplier must be positive, got {self.multiplier!r}")
+        if not (self.multiplier > 0.0 and math.isfinite(self.multiplier)):
+            raise InvalidShapeError(
+                f"multiplier must be positive and finite, got {self.multiplier!r}"
+            )
         if not 0.0 < self.activation_prob < 1.0:
             raise InvalidShapeError(
                 f"activation probability must lie in (0, 1), got {self.activation_prob!r}"
@@ -57,6 +59,10 @@ class LogisticField:
         if not math.isfinite(self.per_effect_logit):
             raise InvalidShapeError(
                 f"per_effect_logit must be finite, got {self.per_effect_logit!r}"
+            )
+        if not math.isfinite(self.count * self.per_effect_logit):
+            raise InvalidShapeError(
+                f"total logit {self.count} x {self.per_effect_logit!r} overflows a float"
             )
 
 
@@ -78,11 +84,13 @@ def aggregate_sd_log(field: MultiplicativeField) -> float:
 def multiplier_range(field: MultiplicativeField) -> AggregateSummary:
     """One-sd multiplier band; low and high are exact reciprocals."""
     sd = aggregate_sd_log(field)
-    return AggregateSummary(
-        sd_log=sd,
-        low_multiplier=math.exp(-sd),
-        high_multiplier=math.exp(sd),
-    )
+    try:
+        high = math.exp(sd)
+    except OverflowError:
+        raise InvalidShapeError(
+            f"one-sd multiplier band exp({sd!r}) overflows a float"
+        ) from None
+    return AggregateSummary(sd_log=sd, low_multiplier=math.exp(-sd), high_multiplier=high)
 
 
 def simulate_multiplicative(

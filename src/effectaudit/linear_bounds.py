@@ -78,7 +78,7 @@ class ClaimSet:
         t = np.asarray(self.tau, dtype=float)
         if t.ndim != 1 or t.size < 1:
             raise DimensionMismatchError("tau must be a non-empty 1-D array")
-        for i in np.flatnonzero((t < 0.0) | (t > 1.0)):
+        for i in np.flatnonzero(~((t >= 0.0) & (t <= 1.0))):  # NaN fails both
             raise EntryOutOfRangeError(int(i), int(i), float(t[i]))
         if self.cross is not None and self.cross.dim != t.size:
             raise DimensionMismatchError(

@@ -1,19 +1,26 @@
 """Diagnostic report structure, JSON round-trip, and text rendering.
 
 One envelope type serves every audit mode; inactive sections are explicit
-nulls in JSON so the schema never changes shape.  JSON rendering is
-deterministic (fixed key order, shortest-round-trip floats), and
-``parse_report(render_report(r)) == r`` exactly.
+nulls in JSON so the schema never changes shape.  JSON rendering is strict
+(never NaN or Infinity), deterministic (fixed key order, shortest-round-trip
+floats), and ``parse_report(render_report(r)) == r`` exactly.  One encoder and
+one decoder walk the dataclasses; ``_JSON_PATH`` places the few fields whose
+JSON position differs from their dataclass position.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
+from typing import get_args, get_origin, get_type_hints
 
 from .finite_sample import MonteCarloEstimate
 from .info_bounds import MIReport
-from .linear_bounds import BoundKind, BoundReport
+from .linear_bounds import BoundReport
 
 TOOL_NAME = "effectaudit"
 
@@ -141,292 +148,71 @@ class DiagnosticReport:
     tightness: TightnessSection | None = None
 
 
-def _bound_to_dict(b: BoundReport | None) -> dict | None:
-    if b is None:
-        return None
-    return {
-        "kind": b.kind.value,
-        "lhs": b.lhs,
-        "rhs": b.rhs,
-        "satisfied": b.satisfied,
-        "slack": b.slack,
-    }
+# Where the JSON layout departs from the dataclass layout: a field's key path
+# inside its parent's object, or () to merge the field's keys into the parent.
+_JSON_PATH = {
+    **{(DatasetAuditSection, k): ("bounds", k) for k in ("vdc", "eigen", "regression")},
+    **{(ClaimsSection, k): ("bounds", k) for k in ("vdc", "eigen", "multi_outcome")},
+    (MiSection, "report"): (),
+}
+
+# Fields where +inf means "no finite bound" (a singular design's regression
+# bound).  Strict JSON has no infinity, so they are written as null.
+_INF_AS_NULL = {(BoundReport, "rhs"), (BoundReport, "slack")}
 
 
-def _bound_from_dict(d: dict | None) -> BoundReport | None:
-    if d is None:
-        return None
-    return BoundReport(
-        kind=BoundKind(d["kind"]),
-        lhs=d["lhs"],
-        rhs=d["rhs"],
-        satisfied=d["satisfied"],
-        slack=d["slack"],
-    )
+@functools.cache
+def _json_fields(cls: type) -> tuple[tuple, ...]:
+    """Serialization plan of a dataclass, built once from its type hints.
+
+    One (name, JSON path, encode, decode, null) tuple per field: encode and
+    decode convert non-null values; null is what a JSON null reads back as.
+    """
+    hints = get_type_hints(cls)
+    plan = []
+    for f in fields(cls):
+        tp = hints[f.name]
+        if type(None) in get_args(tp):  # X | None
+            tp = get_args(tp)[0]
+        encode = decode = null = None
+        if is_dataclass(tp):
+            encode, decode = _to_dict, functools.partial(_from_dict, tp)
+        elif isinstance(tp, type) and issubclass(tp, Enum):
+            encode, decode = operator.attrgetter("value"), tp
+        elif get_origin(tp) is tuple:
+            encode, decode = list, tuple
+        elif (cls, f.name) in _INF_AS_NULL:
+            encode, null = (lambda v: None if v == math.inf else v), math.inf
+        plan.append((f.name, _JSON_PATH.get((cls, f.name), (f.name,)), encode, decode, null))
+    return tuple(plan)
 
 
-def _mc_to_dict(mc: MonteCarloEstimate) -> dict:
-    return {"mean": mc.mean, "stderr": mc.stderr, "trials": mc.trials, "seed": mc.seed}
+def _to_dict(obj) -> dict:
+    """JSON object of a report dataclass.  List fields pass through as they are:
+    converting their floats one by one would triple the render time."""
+    out: dict = {}
+    for name, path, encode, _, _ in _json_fields(type(obj)):
+        v = getattr(obj, name)
+        if v is not None and encode is not None:
+            v = encode(v)
+        if path:
+            functools.reduce(lambda o, k: o.setdefault(k, {}), path[:-1], out)[path[-1]] = v
+        else:
+            out.update(v)
+    return out
 
 
-def _mc_from_dict(d: dict) -> MonteCarloEstimate:
-    return MonteCarloEstimate(
-        mean=d["mean"], stderr=d["stderr"], trials=d["trials"], seed=d["seed"]
-    )
-
-
-def report_to_dict(r: DiagnosticReport) -> dict:
-    d = r.dataset
-    c = r.claims
-    s = r.sphere
-    return {
-        "tool": TOOL_NAME,
-        "version": r.version,
-        "mode": r.mode,
-        "seed": r.seed,
-        "dataset": None
-        if d is None
-        else {
-            "n": d.n,
-            "p": d.p,
-            "outcome": d.outcome,
-            "predictors": d.predictors,
-            "predictor_correlations": d.predictor_correlations,
-            "outcome_correlations": d.outcome_correlations,
-            "spectrum": d.spectrum,
-            "bounds": {
-                "vdc": _bound_to_dict(d.vdc),
-                "eigen": _bound_to_dict(d.eigen),
-                "regression": _bound_to_dict(d.regression),
-            },
-            "beta": d.beta,
-            "lambda_min": d.lambda_min,
-            "singular_values": d.singular_values,
-            "sigma1_sq": d.sigma1_sq,
-            "expected_sum_sq": d.expected_sum_sq,
-            "mc": _mc_to_dict(d.mc),
-        },
-        "claims": None
-        if c is None
-        else {
-            "p": c.p,
-            "tau": c.tau,
-            "tau_min": c.tau_min,
-            "eps": c.eps,
-            "cross_supplied": c.cross_supplied,
-            "base_requirement": {
-                "cross_mass": c.base_requirement.cross_mass,
-                "avg_abs_cross": c.base_requirement.avg_abs_cross,
-                "vacuous": c.base_requirement.vacuous,
-                "feasible": c.base_requirement.feasible,
-            },
-            "multi_outcome_requirement": None
-            if c.multi_outcome_requirement is None
-            else {
-                "eps": c.multi_outcome_requirement.eps,
-                "threshold": c.multi_outcome_requirement.threshold,
-                "cross_mass": c.multi_outcome_requirement.cross_mass,
-                "avg_abs_cross": c.multi_outcome_requirement.avg_abs_cross,
-                "vacuous": c.multi_outcome_requirement.vacuous,
-                "degenerate": c.multi_outcome_requirement.degenerate,
-                "feasible": c.multi_outcome_requirement.feasible,
-            },
-            "cross_mass_actual": c.cross_mass_actual,
-            "bounds": {
-                "vdc": _bound_to_dict(c.vdc),
-                "eigen": _bound_to_dict(c.eigen),
-                "multi_outcome": _bound_to_dict(c.multi_outcome),
-            },
-            "feasible": c.feasible,
-        },
-        "sphere": None
-        if s is None
-        else {
-            "n": s.n,
-            "p": s.p,
-            "trials": s.trials,
-            "singular_values": s.singular_values,
-            "sigma1_sq": s.sigma1_sq,
-            "expected_sum_sq": s.expected_sum_sq,
-            "mc": _mc_to_dict(s.mc),
-            "ks_distance": s.ks_distance,
-        },
-        "aggregate": None
-        if r.aggregate is None
-        else {
-            "count": r.aggregate.count,
-            "multiplier": r.aggregate.multiplier,
-            "activation_prob": r.aggregate.activation_prob,
-            "sd_log": r.aggregate.sd_log,
-            "low_multiplier": r.aggregate.low_multiplier,
-            "high_multiplier": r.aggregate.high_multiplier,
-        },
-        "logistic": None
-        if r.logistic is None
-        else {
-            "count": r.logistic.count,
-            "per_effect_logit": r.logistic.per_effect_logit,
-            "total_logit": r.logistic.total_logit,
-            "swing_low": r.logistic.swing_low,
-            "swing_high": r.logistic.swing_high,
-        },
-        "mi": None
-        if r.mi is None
-        else {
-            "outcome_index": r.mi.outcome_index,
-            "units": r.mi.units,
-            "per_var_mi": list(r.mi.report.per_var_mi),
-            "per_var_leaveout_mi": list(r.mi.report.per_var_leaveout_mi),
-            "h_y": r.mi.report.h_y,
-            "lhs": r.mi.report.lhs,
-            "rhs": r.mi.report.rhs,
-            "satisfied": r.mi.report.satisfied,
-            "slack": r.mi.slack,
-        },
-        "tightness": None
-        if r.tightness is None
-        else {
-            "p": r.tightness.p,
-            "tau": r.tightness.tau,
-            "implied_corr": r.tightness.implied_corr,
-            "off_diagonal": r.tightness.off_diagonal,
-            "sum_sq_corr": r.tightness.sum_sq_corr,
-            "lambda_max": r.tightness.lambda_max,
-            "gap": r.tightness.gap,
-        },
-    }
-
-
-def report_from_dict(d: dict) -> DiagnosticReport:
-    dataset = None
-    if d.get("dataset") is not None:
-        ds = d["dataset"]
-        dataset = DatasetAuditSection(
-            n=ds["n"],
-            p=ds["p"],
-            outcome=ds["outcome"],
-            predictors=list(ds["predictors"]),
-            predictor_correlations=[list(row) for row in ds["predictor_correlations"]],
-            outcome_correlations=list(ds["outcome_correlations"]),
-            spectrum=list(ds["spectrum"]),
-            vdc=_bound_from_dict(ds["bounds"]["vdc"]),
-            eigen=_bound_from_dict(ds["bounds"]["eigen"]),
-            regression=_bound_from_dict(ds["bounds"]["regression"]),
-            beta=list(ds["beta"]),
-            lambda_min=ds["lambda_min"],
-            singular_values=list(ds["singular_values"]),
-            sigma1_sq=ds["sigma1_sq"],
-            expected_sum_sq=ds["expected_sum_sq"],
-            mc=_mc_from_dict(ds["mc"]),
-        )
-    claims = None
-    if d.get("claims") is not None:
-        cs = d["claims"]
-        base = cs["base_requirement"]
-        mo = cs["multi_outcome_requirement"]
-        claims = ClaimsSection(
-            p=cs["p"],
-            tau=list(cs["tau"]),
-            tau_min=cs["tau_min"],
-            eps=cs["eps"],
-            cross_supplied=cs["cross_supplied"],
-            base_requirement=MassRequirement(
-                cross_mass=base["cross_mass"],
-                avg_abs_cross=base["avg_abs_cross"],
-                vacuous=base["vacuous"],
-                feasible=base["feasible"],
-            ),
-            multi_outcome_requirement=None
-            if mo is None
-            else MultiOutcomeRequirement(
-                eps=mo["eps"],
-                threshold=mo["threshold"],
-                cross_mass=mo["cross_mass"],
-                avg_abs_cross=mo["avg_abs_cross"],
-                vacuous=mo["vacuous"],
-                degenerate=mo["degenerate"],
-                feasible=mo["feasible"],
-            ),
-            cross_mass_actual=cs["cross_mass_actual"],
-            vdc=_bound_from_dict(cs["bounds"]["vdc"]),
-            eigen=_bound_from_dict(cs["bounds"]["eigen"]),
-            multi_outcome=_bound_from_dict(cs["bounds"]["multi_outcome"]),
-            feasible=cs["feasible"],
-        )
-    sphere = None
-    if d.get("sphere") is not None:
-        sp = d["sphere"]
-        sphere = SphereSection(
-            n=sp["n"],
-            p=sp["p"],
-            trials=sp["trials"],
-            singular_values=list(sp["singular_values"]),
-            sigma1_sq=sp["sigma1_sq"],
-            expected_sum_sq=sp["expected_sum_sq"],
-            mc=_mc_from_dict(sp["mc"]),
-            ks_distance=sp["ks_distance"],
-        )
-    aggregate = None
-    if d.get("aggregate") is not None:
-        ag = d["aggregate"]
-        aggregate = AggregateSection(
-            count=ag["count"],
-            multiplier=ag["multiplier"],
-            activation_prob=ag["activation_prob"],
-            sd_log=ag["sd_log"],
-            low_multiplier=ag["low_multiplier"],
-            high_multiplier=ag["high_multiplier"],
-        )
-    logistic = None
-    if d.get("logistic") is not None:
-        lg = d["logistic"]
-        logistic = LogisticSection(
-            count=lg["count"],
-            per_effect_logit=lg["per_effect_logit"],
-            total_logit=lg["total_logit"],
-            swing_low=lg["swing_low"],
-            swing_high=lg["swing_high"],
-        )
-    mi = None
-    if d.get("mi") is not None:
-        m = d["mi"]
-        mi = MiSection(
-            outcome_index=m["outcome_index"],
-            units=m["units"],
-            report=MIReport(
-                per_var_mi=tuple(m["per_var_mi"]),
-                per_var_leaveout_mi=tuple(m["per_var_leaveout_mi"]),
-                h_y=m["h_y"],
-                lhs=m["lhs"],
-                rhs=m["rhs"],
-                satisfied=m["satisfied"],
-            ),
-            slack=m["slack"],
-        )
-    tightness = None
-    if d.get("tightness") is not None:
-        t = d["tightness"]
-        tightness = TightnessSection(
-            p=t["p"],
-            tau=t["tau"],
-            implied_corr=t["implied_corr"],
-            off_diagonal=t["off_diagonal"],
-            sum_sq_corr=t["sum_sq_corr"],
-            lambda_max=t["lambda_max"],
-            gap=t["gap"],
-        )
-    return DiagnosticReport(
-        version=d["version"],
-        mode=d["mode"],
-        seed=d["seed"],
-        dataset=dataset,
-        claims=claims,
-        sphere=sphere,
-        aggregate=aggregate,
-        logistic=logistic,
-        mi=mi,
-        tightness=tightness,
-    )
+def _from_dict(cls: type, d: dict):
+    """Inverse of :func:`_to_dict`."""
+    kwargs = {}
+    for name, path, _, decode, null in _json_fields(cls):
+        v = functools.reduce(operator.getitem, path, d)
+        if v is None:
+            v = null
+        elif decode is not None:
+            v = decode(v)
+        kwargs[name] = v
+    return cls(**kwargs)
 
 
 def _fmt(v: float) -> str:
@@ -563,7 +349,7 @@ def render_text(r: DiagnosticReport) -> str:
 def render_report(r: DiagnosticReport, output_format: str = "json") -> str:
     """Serialize a report; 'json' round-trips losslessly, 'text' is for humans."""
     if output_format == "json":
-        return json.dumps(report_to_dict(r), indent=2) + "\n"
+        return json.dumps({"tool": TOOL_NAME, **_to_dict(r)}, indent=2, allow_nan=False) + "\n"
     if output_format == "text":
         return render_text(r)
     raise ValueError(f"output format must be 'json' or 'text', got {output_format!r}")
@@ -571,4 +357,4 @@ def render_report(r: DiagnosticReport, output_format: str = "json") -> str:
 
 def parse_report(serialized: str) -> DiagnosticReport:
     """Inverse of JSON rendering: parse_report(render_report(r)) == r."""
-    return report_from_dict(json.loads(serialized))
+    return _from_dict(DiagnosticReport, json.loads(serialized))

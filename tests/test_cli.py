@@ -1,17 +1,20 @@
 """Exit codes, output formats, and determinism of the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from effectaudit import parse_report
+from effectaudit import cli, parse_report
 from effectaudit.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 BOUNDARY_CSV = os.path.join(HERE, "data", "boundary.csv")
+DUPLICATED_CSV = os.path.join(HERE, "data", "duplicated_column.csv")
 
 
 def run(capsys, *argv: str):
@@ -140,11 +143,60 @@ def test_check_claims_non_finite_eps_exit_two(capsys, eps):
     assert "eps must be finite" in err
 
 
-@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf", "1e308"])
 def test_aggregate_logistic_non_finite_delta_exit_two(capsys, delta):
     code, out, err = run(capsys, "aggregate-logistic", "--count", "3", f"--delta={delta}")
     assert code == 2 and out == ""
-    assert "per_effect_logit must be finite" in err
+    assert ("overflows" if delta == "1e308" else "per_effect_logit must be finite") in err
+
+
+@pytest.mark.parametrize(
+    "count,multiplier,message",
+    [
+        ("100", "inf", "multiplier must be positive and finite"),
+        ("100", "nan", "multiplier must be positive and finite"),
+        ("100000", "1e300", "overflows"),
+        ("1" + "0" * 400, "1.1", "too large"),
+    ],
+)
+def test_aggregate_non_finite_or_overflowing_exit_two(capsys, count, multiplier, message):
+    code, out, err = run(capsys, "aggregate", "--count", count, "--multiplier", multiplier)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_audit_singular_design_writes_null_bound(capsys):
+    code, out, err = run(
+        capsys, "audit", DUPLICATED_CSV, "--outcome", "y", "--trials", "500", "--format", "json"
+    )
+    assert code == 0 and err == ""
+    regression = json.loads(out, parse_constant=_reject_constant)["dataset"]["bounds"]["regression"]
+    assert regression["rhs"] is None and regression["slack"] is None
+    assert regression["satisfied"] is True
+    assert parse_report(out).dataset.regression.rhs == math.inf
+
+
+def test_non_finite_report_exits_two(capsys, monkeypatch):
+    def nan_report(args):
+        report, status = cli._cmd_tightness(args)
+        return replace(report, tightness=replace(report.tightness, gap=math.nan)), status
+
+    monkeypatch.setitem(cli._COMMANDS, "tightness", nan_report)
+    code, out, err = run(capsys, "tightness", "--p", "4", "--tau", "0.3", "--format", "json")
+    assert code == 2 and out == ""
+    assert "not JSON compliant" in err
+
+
+def test_claims_file_nan_tau_named_at_its_index(capsys, tmp_path):
+    claims = tmp_path / "claims.json"
+    claims.write_text('{"tau": [0.3, NaN, 0.2]}')
+    code, out, err = run(capsys, "check-claims", "--claims", str(claims))
+    assert code == 2 and out == ""
+    assert "[1,1] = nan" in err
 
 
 def test_aggregate_logistic_fixture(capsys):

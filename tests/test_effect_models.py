@@ -136,3 +136,12 @@ def test_probability_swing_monotone_in_total(t1, t2):
     lo, hi = sorted((t1, t2))
     assert probability_swing(lo)[1] <= probability_swing(hi)[1] + 1e-15
     assert probability_swing(lo)[0] >= probability_swing(hi)[0] - 1e-15
+
+
+def test_models_reject_non_finite_and_overflowing_input():
+    with pytest.raises(InvalidShapeError, match="finite"):
+        MultiplicativeField(count=10, multiplier=math.inf)
+    with pytest.raises(InvalidShapeError, match="overflows"):
+        multiplier_range(MultiplicativeField(count=100_000, multiplier=1e300))
+    with pytest.raises(InvalidShapeError, match="overflows"):
+        LogisticField(count=3, per_effect_logit=1e308)

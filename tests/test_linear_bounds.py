@@ -207,3 +207,8 @@ def test_claim_set_validation():
         ClaimSet(tau=np.array([0.5, 0.5]), cross=equicorrelation(3, 0.0))
     cs = ClaimSet(tau=np.array([0.3, 0.4]))
     assert cs.p == 2
+
+
+def test_claim_set_rejects_nan_tau_at_its_own_index():
+    with pytest.raises(EntryOutOfRangeError, match=r"\[1,1\] = nan"):
+        ClaimSet(tau=np.array([0.3, np.nan, 0.2]))

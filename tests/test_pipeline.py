@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,8 @@ from effectaudit.finite_sample import MonteCarloEstimate
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 BOUNDARY_CSV = os.path.join(HERE, "data", "boundary.csv")
+# boundary.csv with x1 duplicated: a singular design, so the regression bound is +inf.
+DUPLICATED_CSV = os.path.join(HERE, "data", "duplicated_column.csv")
 GOLDEN_REPORT = os.path.join(HERE, "data", "boundary_report.json")
 # Rendered bytes of every report in round_trip_reports(), one file per mode and format.
 GOLDEN_DIR = os.path.join(HERE, "data", "golden")
@@ -397,6 +400,9 @@ def round_trip_reports() -> dict[str, DiagnosticReport]:
     sphere, aggregate, logistic, mi, tightness = other_mode_reports()
     return {
         "dataset": audit_dataset(ds, AuditConfig(outcome_column="y", trials=500, seed=1)),
+        "dataset_singular": audit_dataset(
+            load_csv_file(DUPLICATED_CSV), AuditConfig(outcome_column="y", trials=500, seed=1)
+        ),
         "claims_vacuous": audit_claims(ClaimSet(tau=np.full(4, 0.3))),
         "claims_eps": audit_claims(ClaimSet(tau=np.full(5, 0.5)), eps=0.005),
         "claims_cross_eps": audit_claims(
@@ -411,8 +417,18 @@ def round_trip_reports() -> dict[str, DiagnosticReport]:
 
 
 def test_report_round_trip_every_mode():
-    for rep in round_trip_reports().values():
+    reports = round_trip_reports()
+    assert reports["dataset_singular"].dataset.regression.rhs == math.inf
+    for rep in reports.values():
         assert parse_report(render_report(rep, "json")) == rep
+
+
+def test_render_report_refuses_non_finite_json():
+    rep = round_trip_reports()["tightness"]
+    bad = replace(rep, tightness=replace(rep.tightness, gap=math.nan))
+    with pytest.raises(ValueError):
+        render_report(bad, "json")
+    assert "gap nan" in render_report(bad, "text")
 
 
 @pytest.mark.parametrize("fmt,ext", [("json", "json"), ("text", "txt")])
