@@ -34,6 +34,21 @@ class EntryOutOfRangeError(EffectAuditError):
         self.value = value
 
 
+class TauOutOfRangeError(EntryOutOfRangeError):
+    """A claimed correlation magnitude tau lies outside [0, 1].
+
+    ``index`` is the claim's position in a tau vector, or None for a single
+    tau value.
+    """
+
+    def __init__(self, value: float, index: int | None = None):
+        name = "tau" if index is None else f"tau[{index}]"
+        EffectAuditError.__init__(self, f"{name} = {value!r} outside [0, 1]")
+        self.row = self.col = index
+        self.index = index
+        self.value = value
+
+
 class NotPositiveSemiDefiniteError(EffectAuditError):
     """Minimum eigenvalue falls below the allowed tolerance."""
 

@@ -5,16 +5,19 @@ the outcome entropy plus each variable's redundancy with the rest,
 
     sum_i I(X_i; y) <= H(y) + sum_i I(X_i; X_-i).
 
-All quantities are computed by exact marginalization of a dense table, so
-joint sizes are capped (product of alphabet sizes <= 10**6).
+A joint is stored as its dense probability table, validated with vectorized
+checks when it is built; all quantities are computed by exact
+marginalization of that table, so joint sizes are capped (product of
+alphabet sizes <= 10**6).  The atom mapping ``pmf`` is derived from the
+table only when asked for.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,71 +48,157 @@ def _in_units(nats: float, units: str) -> float:
     raise ValueError(f"units must be 'nats' or 'bits', got {units!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteJoint:
-    """Joint pmf over num_vars finite variables.
+def _check_sizes(alphabet_sizes: Iterable[int]) -> tuple[int, ...]:
+    try:
+        sizes = tuple(operator.index(s) for s in alphabet_sizes)
+    except TypeError:
+        raise InvalidJointError(f"bad alphabet sizes {alphabet_sizes!r}") from None
+    if len(sizes) < 1 or any(s < 1 for s in sizes):
+        raise InvalidJointError(f"bad alphabet sizes {sizes!r}")
+    cells = math.prod(sizes)
+    if cells > MAX_JOINT_CELLS:
+        raise InvalidJointError(
+            f"joint has {cells} cells, exceeding the cap of {MAX_JOINT_CELLS}"
+        )
+    return sizes
 
-    ``pmf`` maps index tuples to probabilities; omitted atoms have probability
-    zero.  A dense table is materialized at construction for exact
-    marginalization.
+
+def _bad_index(sizes: tuple[int, ...], atoms: Sequence) -> InvalidJointError:
+    """The error naming the first atom, in input order, with a non-integer or
+    out-of-range index."""
+    for atom in atoms:
+        if not all(isinstance(i, (int, np.integer)) for i in atom):
+            return InvalidJointError(f"atom {tuple(atom)!r} has a non-integer index")
+        if any(not 0 <= i < s for i, s in zip(atom, sizes)):
+            return InvalidJointError(f"atom {tuple(atom)!r} outside alphabet ranges {sizes!r}")
+    return InvalidJointError("atom indices must be integers within the alphabet ranges")
+
+
+def _bad_prob(atom: Sequence, prob: float) -> InvalidJointError:
+    kind = "negative" if math.isfinite(prob) else "non-finite"
+    return InvalidJointError(f"{kind} probability {prob!r} at {tuple(atom)!r}")
+
+
+def _atom_table(sizes: tuple[int, ...], atoms: Sequence, probs: Sequence) -> np.ndarray:
+    """Validate atoms (index sequences) and their probabilities, then scatter
+    them into a dense table.
+
+    Every check is vectorized; only an error walks the atoms in Python, to
+    name the first offender.
+    """
+    n, k = len(atoms), len(sizes)
+    if len(probs) != n:
+        raise InvalidJointError(f"{n} atoms but {len(probs)} probabilities")
+    table = np.zeros(sizes)
+    if n == 0:
+        return table
+    try:
+        arity = np.fromiter(map(len, atoms), np.intp, count=n)
+    except TypeError:
+        bad = next(a for a in atoms if not hasattr(a, "__len__"))
+        raise InvalidJointError(f"atom {bad!r} is not a sequence of indices") from None
+    bad = np.flatnonzero(arity != k)
+    if bad.size:
+        atom = atoms[bad[0]]
+        raise InvalidJointError(f"atom {tuple(atom)!r} has arity {len(atom)}, expected {k}")
+    # Python ints give an (n, k) integer array; a float, string, nested
+    # sequence or int beyond int64 gives another kind or shape.
+    idx = np.array(atoms)
+    if idx.ndim != 2 or idx.dtype.kind not in "iub":
+        raise _bad_index(sizes, atoms)
+    if not ((idx >= 0) & (idx < np.array(sizes))).all():
+        raise _bad_index(sizes, atoms)
+    idx = idx.astype(np.intp, copy=False)
+    flat = np.ravel_multi_index(tuple(idx.T), sizes)
+    if np.bincount(flat, minlength=table.size).max() > 1:
+        seen: set[int] = set()
+        for pos, cell in enumerate(flat.tolist()):
+            if cell in seen:
+                raise InvalidJointError(f"duplicate atom {tuple(idx[pos].tolist())!r}")
+            seen.add(cell)
+    try:
+        p = np.asarray(probs, dtype=float)
+    except (TypeError, ValueError):
+        p = None
+    if p is None or p.shape != (n,):
+        for atom, prob in zip(atoms, probs):
+            try:
+                float(prob)
+            except (TypeError, ValueError):
+                raise InvalidJointError(
+                    f"probability {prob!r} at {tuple(atom)!r} is not a number"
+                ) from None
+        raise InvalidJointError("probabilities must be numbers")
+    bad = np.flatnonzero(~(np.isfinite(p) & (p >= 0.0)))
+    if bad.size:
+        raise _bad_prob(idx[bad[0]].tolist(), float(p[bad[0]]))
+    table.reshape(-1)[flat] = p
+    return table
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class DiscreteJoint:
+    """Joint pmf over num_vars finite variables, stored as its dense table.
+
+    ``table`` (shape ``alphabet_sizes``, read-only) is the only state; every
+    entropy is an exact marginalization of it.  Build it from a mapping of
+    index tuples to probabilities (``pmf=``), from parallel ``atoms=`` and
+    ``probs=`` sequences, or from a dense array with :meth:`from_table`.
+    Omitted atoms have probability zero.  Indices must be integers within the
+    alphabet, probabilities finite and non-negative, and the total mass 1.
     """
 
     alphabet_sizes: tuple[int, ...]
-    pmf: Mapping[Atom, float]
+    table: np.ndarray
 
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.alphabet_sizes)
-        if len(sizes) < 1 or any(s < 1 for s in sizes):
-            raise InvalidJointError(f"bad alphabet sizes {sizes!r}")
-        cells = math.prod(sizes)
-        if cells > MAX_JOINT_CELLS:
-            raise InvalidJointError(
-                f"joint has {cells} cells, exceeding the cap of {MAX_JOINT_CELLS}"
-            )
-        table = np.zeros(sizes, dtype=float)
-        seen: set[Atom] = set()
-        for atom, prob in self.pmf.items():
-            atom = tuple(int(i) for i in atom)
-            if len(atom) != len(sizes):
-                raise InvalidJointError(f"atom {atom!r} has arity {len(atom)}, expected {len(sizes)}")
-            if any(not 0 <= idx < s for idx, s in zip(atom, sizes)):
-                raise InvalidJointError(f"atom {atom!r} outside alphabet ranges {sizes!r}")
-            if atom in seen:
-                raise InvalidJointError(f"duplicate atom {atom!r}")
-            seen.add(atom)
-            prob = float(prob)
-            if prob < 0.0:
-                raise InvalidJointError(f"negative probability {prob!r} at {atom!r}")
-            table[atom] = prob
+    def __init__(
+        self,
+        alphabet_sizes: Iterable[int],
+        pmf: Mapping[Atom, float] | None = None,
+        *,
+        atoms: Sequence[Sequence[int]] | None = None,
+        probs: Sequence[float] | None = None,
+    ):
+        if pmf is not None:
+            if atoms is not None or probs is not None:
+                raise TypeError("give either pmf or atoms and probs, not both")
+            atoms, probs = list(pmf.keys()), list(pmf.values())
+        elif atoms is None or probs is None:
+            raise TypeError("need pmf, or atoms and probs")
+        sizes = _check_sizes(alphabet_sizes)
+        self._freeze(sizes, _atom_table(sizes, atoms, probs))
+
+    def _freeze(self, sizes: tuple[int, ...], table: np.ndarray) -> None:
         total = float(table.sum())
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise InvalidJointError(f"probabilities sum to {total!r}, expected 1")
         table.flags.writeable = False
         object.__setattr__(self, "alphabet_sizes", sizes)
-        object.__setattr__(
-            self,
-            "pmf",
-            MappingProxyType({tuple(int(i) for i in k): float(v) for k, v in self.pmf.items()}),
-        )
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def from_table(cls, table: np.ndarray) -> "DiscreteJoint":
-        """Build from a dense probability array (zero cells are dropped)."""
-        t = np.asarray(table, dtype=float)
-        atoms = {
-            tuple(int(i) for i in idx): float(t[idx])
-            for idx in zip(*np.nonzero(t))
-        }
-        return cls(alphabet_sizes=t.shape, pmf=atoms)
+        """Build from a dense probability array (copied)."""
+        t = np.array(table, dtype=float)
+        sizes = _check_sizes(t.shape)
+        bad = np.argwhere(~(np.isfinite(t) & (t >= 0.0)))
+        if bad.size:
+            atom = tuple(bad[0].tolist())
+            raise _bad_prob(atom, float(t[atom]))
+        joint = cls.__new__(cls)
+        joint._freeze(sizes, t)
+        return joint
+
+    @property
+    def pmf(self) -> dict[Atom, float]:
+        """The atoms with non-zero probability, derived from the table on each call."""
+        nonzero = np.nonzero(self.table)
+        atoms = zip(*(axis.tolist() for axis in nonzero))
+        return dict(zip(atoms, self.table[nonzero].tolist()))
 
     @property
     def num_vars(self) -> int:
         return len(self.alphabet_sizes)
-
-    @property
-    def table(self) -> np.ndarray:
-        return self._table
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EntryOutOfRangeError
+from .errors import DimensionMismatchError, EntryOutOfRangeError, TauOutOfRangeError
 from .matrix_core import (
     CorrelationMatrix,
     SecondMomentMatrix,
@@ -79,7 +79,7 @@ class ClaimSet:
         if t.ndim != 1 or t.size < 1:
             raise DimensionMismatchError("tau must be a non-empty 1-D array")
         for i in np.flatnonzero(~((t >= 0.0) & (t <= 1.0))):  # NaN fails both
-            raise EntryOutOfRangeError(int(i), int(i), float(t[i]))
+            raise TauOutOfRangeError(float(t[i]), int(i))
         if self.cross is not None and self.cross.dim != t.size:
             raise DimensionMismatchError(
                 f"cross matrix is {self.cross.dim}x{self.cross.dim}, "
@@ -186,7 +186,7 @@ def min_cross_mass(p: int, tau: float) -> float:
     if p < 1:
         raise DimensionMismatchError(f"p must be at least 1, got {p}")
     if not 0.0 <= tau <= 1.0:
-        raise EntryOutOfRangeError(0, 0, tau)
+        raise TauOutOfRangeError(tau)
     return p * (tau**2 * p - 1.0)
 
 
@@ -203,7 +203,7 @@ def multi_outcome_min_mass(p: int, tau: float, eps: float) -> float:
     if p < 1:
         raise DimensionMismatchError(f"p must be at least 1, got {p}")
     if not 0.0 <= tau <= 1.0:
-        raise EntryOutOfRangeError(0, 0, tau)
+        raise TauOutOfRangeError(tau)
     if eps < 0.0:
         raise EntryOutOfRangeError(0, 0, eps)
     return p * ((tau - math.sqrt(2.0 * eps)) ** 2 * p - 1.0)
@@ -275,7 +275,7 @@ def tightness_instance(p: int, tau: float) -> TightnessInstance:
     if p < 1:
         raise DimensionMismatchError(f"p must be at least 1, got {p}")
     if not 0.0 <= tau <= 1.0:
-        raise EntryOutOfRangeError(0, 0, tau)
+        raise TauOutOfRangeError(tau)
     num = 1.0 + (p - 1) * tau**2
     implied = num / math.sqrt(p + p * (p - 1) * tau**2)
     return TightnessInstance(p=p, tau=float(tau), implied_corr=float(implied))

@@ -1,7 +1,8 @@
 """Dataset ingestion and end-to-end audits.
 
-``load_csv`` accepts one fixed dialect: UTF-8, one header row, comma
-separators, '.' decimal points, no quoting.  ``audit_dataset`` standardizes
+``load_csv`` accepts one fixed dialect: UTF-8 (a leading BOM is dropped), one
+header row, comma separators, '.' decimal points, no quoting; data cells are
+plain ASCII numbers without '_'.  ``audit_dataset`` standardizes
 columns, computes sample correlations, and runs every applicable bound;
 ``audit_claims`` works from claimed correlation magnitudes alone.
 """
@@ -12,6 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -109,6 +111,10 @@ class AuditConfig:
     def __post_init__(self):
         if self.trials < 2:
             raise InvalidShapeError(f"need at least 2 trials, got {self.trials}")
+        if not (math.isfinite(self.psd_tolerance) and self.psd_tolerance >= 0.0):
+            raise InvalidShapeError(
+                f"psd tolerance must be finite and non-negative, got {self.psd_tolerance!r}"
+            )
         if self.entropy_units not in ("nats", "bits"):
             raise ValueError(f"bad entropy units {self.entropy_units!r}")
         if self.output_format not in ("json", "text"):
@@ -119,6 +125,8 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
     s = cell.strip()
     if s == "":
         raise MissingValueError(row, col)
+    if not cell.isascii() or "_" in cell:
+        raise CsvParseError(row, col, f"not a plain ASCII number: {s!r}")
     try:
         v = float(s)
     except ValueError:
@@ -130,15 +138,44 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
     return v
 
 
-def _split_rows(data: bytes) -> list[list[str]]:
+def _split_lines(data: bytes) -> list[str]:
+    """Decode the file (dropping a leading BOM) into lines, without trailing blank ones."""
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CsvParseError(0, 0, f"not valid UTF-8: {exc}") from None
     lines = text.splitlines()
     while lines and lines[-1].strip() == "":
         lines.pop()
-    return [line.split(",") for line in lines]
+    return lines
+
+
+def _parse_body(lines: list[str], width: int) -> np.ndarray:
+    """Parse data lines (the header excluded) into a (rows, width) array.
+
+    One C-level pass converts every cell when the body is plain ASCII without
+    '_' (which ``float`` would otherwise accept, as in '1_000' or non-ASCII
+    digits), every row has ``width`` cells and every value is finite.
+    Otherwise the cells are walked in row-major order, which raises the first
+    fault; error rows count the header as row 1.
+    """
+    rows = [line.split(",") for line in lines]
+    n = len(rows)
+    body = "".join(lines)
+    if body.isascii() and "_" not in body and set(map(len, rows)) <= {width}:
+        try:
+            values = np.fromiter(map(float, chain.from_iterable(rows)), float, count=n * width)
+        except ValueError:
+            values = None
+        if values is not None and np.isfinite(values).all():
+            return values.reshape(n, width)
+    values = np.empty((n, width))
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise RaggedRowError(i + 2, width, len(row))
+        for j, cell in enumerate(row):
+            values[i, j] = _parse_cell(cell, i + 2, j + 1)
+    return values
 
 
 def load_csv(data: bytes) -> Dataset:
@@ -146,25 +183,19 @@ def load_csv(data: bytes) -> Dataset:
 
     Error positions are 1-based and count the header as row 1.
     """
-    rows = _split_rows(data)
-    if not rows:
+    lines = _split_lines(data)
+    if not lines:
         raise TooFewRowsError("file is empty")
-    header = [name.strip() for name in rows[0]]
+    header = [name.strip() for name in lines[0].split(",")]
     if any(name == "" for name in header):
         raise CsvParseError(1, header.index("") + 1, "empty column name")
     if len(set(header)) != len(header):
         dupe = next(name for i, name in enumerate(header) if name in header[:i])
         raise CsvParseError(1, header.index(dupe) + 1, f"duplicate column name {dupe!r}")
-    body = rows[1:]
-    if len(body) < MIN_ROWS:
-        raise TooFewRowsError(f"need at least {MIN_ROWS} data rows, got {len(body)}")
+    if len(lines) - 1 < MIN_ROWS:
+        raise TooFewRowsError(f"need at least {MIN_ROWS} data rows, got {len(lines) - 1}")
     width = len(header)
-    values = np.empty((len(body), width))
-    for i, row in enumerate(body):
-        if len(row) != width:
-            raise RaggedRowError(i + 2, width, len(row))
-        for j, cell in enumerate(row):
-            values[i, j] = _parse_cell(cell, i + 2, j + 1)
+    values = _parse_body(lines[1:], width)
     return Dataset(
         column_names=tuple(header),
         columns=tuple(values[:, j] for j in range(width)),
@@ -182,21 +213,15 @@ def load_matrix_csv(path: str | os.PathLike) -> CorrelationMatrix:
     The matrix is symmetrized exactly, then fully validated.
     """
     with open(path, "rb") as fh:
-        rows = _split_rows(fh.read())
-    if len(rows) < 2:
+        lines = _split_lines(fh.read())
+    if len(lines) < 2:
         raise TooFewRowsError("matrix file needs a header row and at least one data row")
-    width = len(rows[0])
-    body = rows[1:]
-    if len(body) != width:
+    width = len(lines[0].split(","))
+    if len(lines) - 1 != width:
         raise InvalidShapeError(
-            f"matrix must be square: header has {width} columns, found {len(body)} rows"
+            f"matrix must be square: header has {width} columns, found {len(lines) - 1} rows"
         )
-    values = np.empty((width, width))
-    for i, row in enumerate(body):
-        if len(row) != width:
-            raise RaggedRowError(i + 2, width, len(row))
-        for j, cell in enumerate(row):
-            values[i, j] = _parse_cell(cell, i + 2, j + 1)
+    values = _parse_body(lines[1:], width)
     return validate_correlation(SymMatrix.symmetrized(values))
 
 
@@ -229,16 +254,16 @@ def load_joint_json(path: str | os.PathLike) -> tuple[DiscreteJoint, int]:
     for key in ("alphabet_sizes", "outcome_index", "atoms"):
         if not isinstance(raw, dict) or key not in raw:
             raise InvalidJointError(f"joint pmf file is missing {key!r}")
-    pmf = {}
-    for atom in raw["atoms"]:
-        if "tuple" not in atom or "prob" not in atom:
-            raise InvalidJointError("each atom needs 'tuple' and 'prob'")
-        key = tuple(int(i) for i in atom["tuple"])
-        if key in pmf:
-            raise InvalidJointError(f"duplicate atom {key!r}")
-        pmf[key] = float(atom["prob"])
-    joint = DiscreteJoint(alphabet_sizes=tuple(raw["alphabet_sizes"]), pmf=pmf)
-    return joint, int(raw["outcome_index"])
+    try:
+        atoms = [atom["tuple"] for atom in raw["atoms"]]
+        probs = [atom["prob"] for atom in raw["atoms"]]
+    except (KeyError, TypeError):
+        raise InvalidJointError("each atom needs 'tuple' and 'prob'") from None
+    joint = DiscreteJoint(raw["alphabet_sizes"], atoms=atoms, probs=probs)
+    outcome = raw["outcome_index"]
+    if not isinstance(outcome, int):
+        raise InvalidJointError(f"outcome_index must be an integer, got {outcome!r}")
+    return joint, outcome
 
 
 def _resolve_outcome(ds: Dataset, outcome: str | int) -> int:

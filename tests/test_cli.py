@@ -196,7 +196,7 @@ def test_claims_file_nan_tau_named_at_its_index(capsys, tmp_path):
     claims.write_text('{"tau": [0.3, NaN, 0.2]}')
     code, out, err = run(capsys, "check-claims", "--claims", str(claims))
     assert code == 2 and out == ""
-    assert "[1,1] = nan" in err
+    assert "tau[1] = nan outside [0, 1]" in err
 
 
 def test_aggregate_logistic_fixture(capsys):
@@ -252,6 +252,19 @@ def test_mi_check_bad_outcome_exit_two(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("prob,tuple_,message", [
+    ("NaN", "[0,0]", "non-finite probability nan at (0, 0)"),
+    ("0.5", "[1.7,1]", "atom (1.7, 1) has a non-integer index"),
+])
+def test_mi_check_bad_atom_exit_two(capsys, tmp_path, prob, tuple_, message):
+    path = tmp_path / "joint.json"
+    path.write_text('{"alphabet_sizes":[2,2],"outcome_index":1,"atoms":['
+                    '{"tuple":%s,"prob":%s},{"tuple":[1,1],"prob":0.5}]}' % (tuple_, prob))
+    code, out, err = run(capsys, "mi-check", str(path))
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_tightness_json(capsys):
     code, out, _ = run(capsys, "tightness", "--p", "100", "--tau", "0.3", "--format", "json")
     assert code == 0
@@ -263,6 +276,31 @@ def test_tightness_json(capsys):
 def test_tightness_bad_tau_exit_two(capsys):
     code, _, err = run(capsys, "tightness", "--p", "10", "--tau", "1.5")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8"])
+def test_audit_bad_psd_tolerance_exit_two(capsys, tol):
+    code, out, err = run(capsys, "audit", BOUNDARY_CSV, "--outcome", "y", f"--psd-tolerance={tol}")
+    assert code == 2 and out == ""
+    assert "psd tolerance must be finite and non-negative" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["check-claims", "--tau", "1.5", "--p", "3"], "tau[0] = 1.5 outside [0, 1]"),
+    (["tightness", "--p", "3", "--tau", "inf"], "tau = inf outside [0, 1]"),
+])
+def test_bad_tau_named_with_its_range(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_audit_csv_outside_dialect_exit_two(capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,b\n1,2\n3,1_000\n4,5\n")
+    code, out, err = run(capsys, "audit", str(bad), "--outcome", "b")
+    assert code == 2 and out == ""
+    assert "row 3, column 2: not a plain ASCII number: '1_000'" in err
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,5 +1,6 @@
 """Exact entropy, mutual information, and the summed-MI feasibility bound."""
 
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from effectaudit import (
     chain_rule_check,
     conditional_entropy,
     entropy,
+    load_joint_json,
     max_independent_informative,
     mi_piranha_check,
     mutual_information,
@@ -54,6 +56,88 @@ def test_joint_construction_invariants():
         DiscreteJoint(alphabet_sizes=(2,), pmf={(3,): 1.0})  # symbol out of range
     with pytest.raises(InvalidJointError):
         DiscreteJoint(alphabet_sizes=(101, 101, 101), pmf={(0, 0, 0): 1.0})  # > 1e6 cells
+
+
+# Each fault as (alphabet sizes, atoms, probabilities, message); the atoms are
+# otherwise a valid joint.
+JOINT_FAULTS = {
+    "arity": ((2, 2), [(0, 0), (1,)], [0.5, 0.5], "arity 1, expected 2"),
+    "range": ((2, 2), [(0, 0), (1, 2)], [0.5, 0.5], r"\(1, 2\) outside alphabet ranges"),
+    "negative index": ((2, 2), [(0, 0), (-1, 1)], [0.5, 0.5], "outside alphabet ranges"),
+    "duplicate": ((2, 2), [(0, 1), (1, 1), (0, 1)], [0.25, 0.5, 0.25],
+                  r"duplicate atom \(0, 1\)"),
+    "negative": ((2, 2), [(0, 0), (1, 1)], [-0.5, 1.5], r"negative probability -0.5 at \(0, 0\)"),
+    "nan": ((2, 2), [(0, 0), (1, 1)], [math.nan, 1.0], r"non-finite probability nan at \(0, 0\)"),
+    "inf": ((2, 2), [(0, 0), (1, 1)], [0.5, math.inf], r"non-finite probability inf at \(1, 1\)"),
+    "non-integer index": ((2, 2), [(0, 0), (1.7, 1)], [0.5, 0.5],
+                          r"\(1.7, 1\) has a non-integer index"),
+    "integral float index": ((2, 2), [(0, 0), (1.0, 1)], [0.5, 0.5], "non-integer index"),
+    "string index": ((2, 2), [(0, 0), ("1", 1)], [0.5, 0.5], "non-integer index"),
+    "mass": ((2, 2), [(0, 0), (1, 1)], [0.5, 0.4], "sum to"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(JOINT_FAULTS))
+def test_joint_faults_rejected_by_every_constructor(fault, tmp_path):
+    sizes, atoms, probs, message = JOINT_FAULTS[fault]
+    with pytest.raises(InvalidJointError, match=message):
+        DiscreteJoint(alphabet_sizes=sizes, atoms=atoms, probs=probs)
+    if fault != "duplicate":  # a mapping cannot hold one atom twice
+        with pytest.raises(InvalidJointError, match=message):
+            DiscreteJoint(alphabet_sizes=sizes, pmf=dict(zip(atoms, probs)))
+    path = tmp_path / "joint.json"
+    path.write_text(json.dumps({
+        "alphabet_sizes": list(sizes), "outcome_index": 0,
+        "atoms": [{"tuple": list(a), "prob": p} for a, p in zip(atoms, probs)],
+    }))
+    with pytest.raises(InvalidJointError, match=message):
+        load_joint_json(path)
+
+
+@pytest.mark.parametrize("sizes", [(), (2, 0), (2.0, 2), "ab"])
+def test_joint_rejects_bad_alphabet_sizes(sizes):
+    with pytest.raises(InvalidJointError, match="bad alphabet sizes"):
+        DiscreteJoint(alphabet_sizes=sizes, pmf={(0, 0): 1.0})
+
+
+def test_joint_table_from_atoms_equals_cell_by_cell():
+    rng = np.random.default_rng(11)
+    sizes = (3, 4, 2, 5)
+    w = rng.random(sizes) * (rng.random(sizes) < 0.7)
+    w /= w.sum()
+    pmf = {tuple(int(i) for i in idx): float(w[idx]) for idx in zip(*np.nonzero(w))}
+    expected = np.zeros(sizes)
+    for atom, prob in pmf.items():
+        expected[atom] = prob
+    j = DiscreteJoint(alphabet_sizes=sizes, pmf=pmf)
+    np.testing.assert_array_equal(j.table, expected)
+    assert not j.table.flags.writeable
+    assert j.pmf == pmf
+    assert DiscreteJoint.from_table(j.table).pmf == j.pmf
+    # the table is the joint's only state
+    assert set(vars(j)) == {"alphabet_sizes", "table"}
+
+
+def test_joint_pmf_leaves_out_zero_atoms():
+    j = DiscreteJoint(alphabet_sizes=(2, 2), pmf={(0, 0): 0.5, (0, 1): 0.0, (1, 1): 0.5})
+    assert j.pmf == {(0, 0): 0.5, (1, 1): 0.5}
+    assert all(type(i) is int for atom in j.pmf for i in atom)
+
+
+@pytest.mark.parametrize("bad,message", [(-0.25, "negative"), (math.nan, "non-finite"),
+                                         (math.inf, "non-finite")])
+def test_from_table_rejects_bad_cells(bad, message):
+    t = np.full((2, 2), 0.25)
+    t[1, 0] = bad
+    with pytest.raises(InvalidJointError, match=rf"{message} probability .* at \(1, 0\)"):
+        DiscreteJoint.from_table(t)
+
+
+def test_from_table_copies_its_input():
+    t = np.full((2, 2), 0.25)
+    j = DiscreteJoint.from_table(t)
+    t[0, 0] = 0.0
+    assert j.table[0, 0] == 0.25
 
 
 def test_entropy_bernoulli():

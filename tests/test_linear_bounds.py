@@ -210,5 +210,5 @@ def test_claim_set_validation():
 
 
 def test_claim_set_rejects_nan_tau_at_its_own_index():
-    with pytest.raises(EntryOutOfRangeError, match=r"\[1,1\] = nan"):
+    with pytest.raises(EntryOutOfRangeError, match=r"tau\[1\] = nan outside \[0, 1\]"):
         ClaimSet(tau=np.array([0.3, np.nan, 0.2]))

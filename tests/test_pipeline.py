@@ -114,6 +114,88 @@ def test_load_csv_shape_errors():
     assert (exc.value.row, exc.value.expected, exc.value.got) == (3, 2, 3)
 
 
+def big_csv_lines(rows=5000, width=5):
+    """A header and ``rows`` data lines of distinct, exactly representable values."""
+    header = ",".join(f"c{j}" for j in range(width))
+    return [header] + [",".join(f"{i}.{j}5" for j in range(width)) for i in range(rows)]
+
+
+# (bad cell or whole line, error type, (row, col) or (row, expected, got)).
+# The fault sits in lines[4998], the 4998th of 5000 data lines: row 4999 with the header as row 1.
+DEEP_FAULTS = {
+    "missing": ("", MissingValueError, (4999, 4)),
+    "nan": ("NaN", MissingValueError, (4999, 4)),
+    "inf": ("inf", CsvParseError, (4999, 4)),
+    "not a number": ("goat", CsvParseError, (4999, 4)),
+    "underscore": ("1_000", CsvParseError, (4999, 4)),
+    "non-ASCII digit": ("\u0667", CsvParseError, (4999, 4)),
+    "longer row": ("1,2,3,4,5,6", RaggedRowError, (4999, 5, 6)),
+    "shorter row": ("1,2,3,4", RaggedRowError, (4999, 5, 4)),
+}
+
+
+def _position(exc):
+    if isinstance(exc, RaggedRowError):
+        return exc.row, exc.expected, exc.got
+    return exc.row, exc.col
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_FAULTS))
+def test_load_csv_locates_a_fault_deep_in_a_large_file(kind):
+    bad, error, where = DEEP_FAULTS[kind]
+    lines = big_csv_lines()
+    if issubclass(error, RaggedRowError):
+        lines[4998] = bad
+    else:
+        cells = lines[4998].split(",")
+        cells[3] = bad
+        lines[4998] = ",".join(cells)
+    with pytest.raises(error) as exc:
+        load_csv(csv_bytes(*lines))
+    assert _position(exc.value) == where
+
+
+def test_load_csv_earlier_fault_wins_over_later_ragged_row():
+    lines = big_csv_lines()
+    lines[4000] += ",7"
+    lines[10] = lines[10].replace("9.25", "9.2x5")
+    with pytest.raises(CsvParseError) as exc:
+        load_csv(csv_bytes(*lines))
+    assert (exc.value.row, exc.value.col) == (11, 3)
+    lines = big_csv_lines()
+    lines[10] += ",7"
+    lines[4000] = lines[4000].replace("3999.25", "1_0")
+    with pytest.raises(RaggedRowError) as exc:
+        load_csv(csv_bytes(*lines))
+    assert (exc.value.row, exc.value.got) == (11, 6)
+
+
+def test_load_csv_values_equal_float_of_each_cell():
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((300, 4)) * 10.0 ** rng.integers(-5, 6, size=(300, 4))
+    lines = ["a,b,c,d"] + [",".join(f" {v!r}" if j == 1 else repr(v) for j, v in enumerate(row))
+                           for row in values.tolist()]
+    ds = load_csv(csv_bytes(*lines))
+    np.testing.assert_array_equal(np.column_stack(ds.columns), values)
+
+
+def test_load_csv_drops_bom_and_keeps_header_characters():
+    ds = load_csv(b"\xef\xbb\xbf" + csv_bytes("x_1,\u00e9t\u00e9,y", "1,2,3", "4,5,6", "7,8,10"))
+    assert ds.column_names == ("x_1", "\u00e9t\u00e9", "y")
+    # a BOM anywhere else is a non-ASCII character in a cell
+    with pytest.raises(CsvParseError) as exc:
+        load_csv(csv_bytes("a,b", "1,2", "3,\ufeff4", "5,6"))
+    assert (exc.value.row, exc.value.col) == (3, 2)
+
+
+def test_load_matrix_csv_rejects_cells_outside_the_dialect(tmp_path):
+    path = tmp_path / "cross.csv"
+    path.write_text("c1,c2\n1.0,0.2\n0.2,1_0\n")
+    with pytest.raises(CsvParseError) as exc:
+        load_matrix_csv(path)
+    assert (exc.value.row, exc.value.col) == (3, 2)
+
+
 def test_load_csv_file_fixture():
     ds = load_csv_file(BOUNDARY_CSV)
     assert ds.column_names == ("x1", "x2", "x3", "x4", "y")
@@ -196,6 +278,28 @@ def test_load_joint_json(tmp_path):
     )
     with pytest.raises(InvalidJointError):
         load_joint_json(dupes)
+
+
+def write_joint(path, atoms, sizes=(2, 2)):
+    path.write_text(json.dumps({"alphabet_sizes": list(sizes), "outcome_index": 1,
+                                "atoms": atoms}))
+    return path
+
+
+def test_load_joint_json_rejects_malformed_atoms(tmp_path):
+    for atoms in ([[0, 0]], [{"tuple": [0, 0]}], [3], "xy"):
+        with pytest.raises(InvalidJointError, match="'tuple' and 'prob'"):
+            load_joint_json(write_joint(tmp_path / "bad.json", atoms))
+    with pytest.raises(InvalidJointError, match="not a sequence"):
+        load_joint_json(write_joint(tmp_path / "bad.json", [{"tuple": 0, "prob": 1.0}]))
+    with pytest.raises(InvalidJointError, match="not a number"):
+        load_joint_json(write_joint(tmp_path / "bad.json", [{"tuple": [0, 0], "prob": "x"}]))
+    for outcome in (None, 1.7, "1"):
+        path = tmp_path / "outcome.json"
+        path.write_text(json.dumps({"alphabet_sizes": [2], "outcome_index": outcome,
+                                    "atoms": [{"tuple": [0], "prob": 1.0}]}))
+        with pytest.raises(InvalidJointError, match="outcome_index must be an integer"):
+            load_joint_json(path)
 
 
 def test_audit_dataset_boundary_equalities():
