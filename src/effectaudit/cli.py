@@ -8,6 +8,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -52,7 +53,9 @@ from .report import (
 )
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; ``parse_args`` keeps no state."""
     parser = argparse.ArgumentParser(
         prog="effectaudit",
         description="Feasibility diagnostics for collections of claimed effects.",

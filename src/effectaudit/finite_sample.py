@@ -21,7 +21,11 @@ costs O(p) time and memory, whatever n is, and zero singular values of
 rank-deficient designs carry exactly zero weight.  The chi-square mixture
 (1/(n-1)) sum_k sigma_k^2 xi_k that :func:`chisq_mixture_compare` measures
 against is only the large-n limit of this law; at small n the two differ by
-construction (a KS distance near 0.09 at n=11, p=5).
+construction (a KS distance near 0.09 at n=11, p=5).  That distance is the
+two-sample Kolmogorov-Smirnov statistic, computed here in numpy; it equals
+scipy's ``ks_2samp(...).statistic`` bit for bit, including the exact-mode
+rounding to a multiple of 1/lcm(n1, n2) when neither sample has more than
+10000 values.
 
 This module provides the exact pieces (standardize, svd, sum_sq_corr) and the
 stochastic ones (sphere sampling, mean estimation, a chi-square mixture
@@ -34,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     ConstantVectorError,
@@ -58,6 +61,10 @@ _BATCH = 4096
 # Bytes of responses per batch in the direct sphere simulator, which draws a
 # full n-vector per trial; its row count shrinks as n grows.
 _DIRECT_BATCH_BYTES = 16 * 2**20
+
+# Largest sample for which scipy's ks_2samp (method "auto") computes the
+# exact p-value, rounding the statistic to a multiple of 1/lcm(n1, n2).
+_KS_EXACT_MAX_N = 10000
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,7 +444,9 @@ def chisq_mixture_compare(x: SampleMatrix, trials: int, seed: int) -> float:
     (1/(n-1)) sum_k sigma_k^2 xi_k with xi_k iid chi-square(1).  The mixture is
     the asymptotic (large-n) law, so the distance measures that approximation
     as well as sampling noise: it is near 0.09 at n=11, p=5 however many
-    trials are drawn.  Returns the two-sample KS statistic; no pass/fail
+    trials are drawn.  Returns the two-sample KS statistic, computed in numpy
+    by :func:`_ks_statistic` and equal to scipy's two-sample statistic,
+    including its exact-mode rounding at 10000 trials or fewer; no pass/fail
     judgement is made here.
     """
     if trials < 1000:
@@ -448,4 +457,26 @@ def chisq_mixture_compare(x: SampleMatrix, trials: int, seed: int) -> float:
     sim = np.concatenate(list(_law_sum_sq_batches(sigma_sq, x.n, trials, rng_sim)))
     xi = rng_mix.chisquare(1.0, size=(trials, sigma_sq.size))
     mix = (xi @ sigma_sq) / (x.n - 1)
-    return float(stats.ks_2samp(sim, mix).statistic)
+    return _ks_statistic(sim, mix)
+
+
+def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic sup_x |F_a(x) - F_b(x)|.
+
+    Reproduces ``scipy.stats.ks_2samp(a, b).statistic`` (two-sided, method
+    "auto") bit for bit: the empirical CDFs are divided separately, and when
+    neither sample exceeds 10000 values the statistic is rounded to the
+    nearest multiple of 1/lcm(n1, n2), as scipy's exact mode does.
+    """
+    a = np.sort(a)
+    b = np.sort(b)
+    n1, n2 = a.size, b.size
+    both = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, both, side="right") / n1
+    cdf_b = np.searchsorted(b, both, side="right") / n2
+    diff = cdf_a - cdf_b
+    d = max(float(diff.max()), float(np.clip(-diff.min(), 0.0, 1.0)))
+    if max(n1, n2) <= _KS_EXACT_MAX_N:
+        lcm = (n1 // math.gcd(n1, n2)) * n2
+        d = round(d * lcm) / lcm
+    return d

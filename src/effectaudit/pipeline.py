@@ -228,23 +228,42 @@ def load_matrix_csv(path: str | os.PathLike) -> CorrelationMatrix:
 def load_claims_json(path: str | os.PathLike) -> tuple[ClaimSet, float | None]:
     """Read a claims file: {"tau": [...], "cross": path or null, "eps": real or null}.
 
-    A relative ``cross`` path is resolved against the claims file's directory.
-    Returns the claim set and the file's eps (None when absent).
+    ``tau`` must be an array of JSON numbers, ``eps`` a number and ``cross`` a
+    string; booleans and numeric strings are rejected.  A relative ``cross``
+    path is resolved against the claims file's directory.  Returns the claim
+    set and the file's eps (None when absent).
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict) or "tau" not in raw:
         raise InvalidJointError("claims file must be a JSON object with a 'tau' array")
+    tau = raw["tau"]
+    if not isinstance(tau, list):
+        raise InvalidJointError(f"claims 'tau' must be an array, got {json.dumps(tau)}")
+    for i, t in enumerate(tau):
+        if not _is_json_number(t):
+            raise InvalidJointError(f"claims 'tau'[{i}] must be a number, got {json.dumps(t)}")
+    eps = raw.get("eps")
+    if eps is not None and not _is_json_number(eps):
+        raise InvalidJointError(f"claims 'eps' must be a number or null, got {json.dumps(eps)}")
     cross = None
     cross_path = raw.get("cross")
     if cross_path is not None:
+        if not isinstance(cross_path, str):
+            raise InvalidJointError(
+                f"claims 'cross' must be a file path or null, got {json.dumps(cross_path)}"
+            )
         if not os.path.isabs(cross_path):
             cross_path = os.path.join(os.path.dirname(os.fspath(path)), cross_path)
         cross = load_matrix_csv(cross_path)
-    eps = raw.get("eps")
-    return ClaimSet(tau=np.asarray(raw["tau"], dtype=float), cross=cross), (
+    return ClaimSet(tau=np.asarray(tau, dtype=float), cross=cross), (
         None if eps is None else float(eps)
     )
+
+
+def _is_json_number(value: object) -> bool:
+    """True for a parsed JSON number: an int or float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_joint_json(path: str | os.PathLike) -> tuple[DiscreteJoint, int]:

@@ -340,3 +340,110 @@ def test_installed_script_if_present():
     )
     assert proc.returncode == 0
     assert "tightness construction" in proc.stdout
+
+
+@pytest.mark.parametrize("content,key", [
+    ('{"tau":[0.3,0.4],"eps":[1]}', "'eps'"),
+    ('{"tau":{"a":1}}', "'tau'"),
+    ('{"tau":[0.3,0.4],"cross":5}', "'cross'"),
+    ('{"tau":[0.3,0.4],"eps":true}', "'eps'"),
+    ('{"tau":[0.3,0.4],"eps":"0.01"}', "'eps'"),
+], ids=["eps-array", "tau-object", "cross-number", "eps-bool", "eps-string"])
+def test_claims_file_wrong_type_exit_two(capsys, tmp_path, content, key):
+    claims = tmp_path / "claims.json"
+    claims.write_text(content)
+    code, out, err = run(capsys, "check-claims", "--claims", str(claims))
+    assert code == 2 and out == ""
+    assert f"claims {key} must be" in err
+
+
+# The source tree of the package under test, for child interpreters.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+# Runs each argv of a JSON list through cli.main in one interpreter and prints
+# [[exit code, stdout, stderr], ...] as JSON.  With "block-scipy", any import
+# of scipy fails, as on a machine where it is not installed.
+_RUNNER = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block-scipy":
+    sys.modules["scipy"] = None
+from effectaudit.cli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def run_fresh(requests: list[list[str]], block_scipy: bool = False) -> list[tuple]:
+    """(exit code, stdout, stderr) of each request, all served by one new process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUNNER, "block-scipy" if block_scipy else "-",
+         json.dumps(requests)],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    return [tuple(r) for r in json.loads(proc.stdout)]
+
+
+def test_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, effectaudit.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=60, check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+def claims_file(tmp_path) -> str:
+    cross = tmp_path / "cross.csv"
+    cross.write_text("c1,c2,c3\n1.0,0.2,0.1\n0.2,1.0,0.3\n0.1,0.3,1.0\n")
+    claims = tmp_path / "claims.json"
+    claims.write_text(json.dumps({"tau": [0.5, 0.6, 0.7], "cross": "cross.csv", "eps": 0.05}))
+    return str(claims)
+
+
+def test_every_subcommand_runs_without_scipy(capsys, tmp_path):
+    joint, claims = joint_file(tmp_path), claims_file(tmp_path)
+    requests = [
+        ["audit", BOUNDARY_CSV, "--outcome", "y", "--trials", "2000", "--format", "json"],
+        ["audit", DUPLICATED_CSV, "--outcome", "y", "--trials", "2000"],
+        # 1000 trials: scipy's exact-mode rounding; 12000: its asymptotic mode
+        ["simulate-sphere", "--n", "50", "--p", "3", "--trials", "1000", "--seed", "1",
+         "--format", "json"],
+        ["simulate-sphere", "--n", "11", "--p", "5", "--trials", "12000", "--seed", "2"],
+        ["check-claims", "--tau", "0.3", "--p", "4", "--format", "json"],
+        ["check-claims", "--claims", claims],
+        ["aggregate", "--count", "20", "--multiplier", "1.1", "--format", "json"],
+        ["aggregate-logistic", "--count", "20", "--delta", "0.5"],
+        ["mi-check", joint, "--units", "bits", "--format", "json"],
+        ["tightness", "--p", "10", "--tau", "0.3"],
+    ]
+    blocked = run_fresh(requests, block_scipy=True)
+    for argv, (code, out, err) in zip(requests, blocked):
+        assert code in (0, 1), (argv, err)
+        assert (code, out, err) == run(capsys, *argv), argv
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_cached_parser_carries_no_state_between_requests(tmp_path):
+    joint, claims = joint_file(tmp_path), claims_file(tmp_path)
+    requests = [
+        ["mi-check", joint, "--outcome-index", "1"],
+        ["mi-check", joint],
+        ["check-claims", "--claims", claims],
+        ["check-claims", "--tau", "0.3", "--p", "4"],
+        ["check-claims", "--tau", "0.3", "--p", "four"],
+    ]
+    sequence = run_fresh(requests + requests[:1])
+    assert sequence[4][0] == 2 and "invalid int value" in sequence[4][2]
+    alone = [run_fresh([argv])[0] for argv in requests]
+    assert sequence == alone + alone[:1]

@@ -25,6 +25,7 @@ from effectaudit import (
 from effectaudit.finite_sample import (
     _direct_sum_sq_batches,
     _gram_route,
+    _ks_statistic,
     _law_sum_sq_batches,
 )
 from effectaudit.errors import (
@@ -379,3 +380,38 @@ def test_chisq_mixture_compare_is_the_asymptotic_law():
     # at n=11, p=5 the exact law and the large-n mixture differ by construction
     x = random_sample_matrix(11, 5, np.random.default_rng(91))
     assert chisq_mixture_compare(x, trials=20_000, seed=4) > 0.05
+
+
+def _ks_samples(kind: str, n1: int, n2: int, rng: np.random.Generator):
+    a = rng.standard_normal(n1)
+    if kind == "continuous":
+        return a, rng.standard_normal(n2) + 0.02
+    if kind == "tied":  # many equal values within and across the samples
+        return np.round(a, 2), np.round(rng.standard_normal(n2), 2)
+    if kind == "identical":
+        return a, rng.permutation(a)
+    return a, rng.standard_normal(n2) + 100.0  # disjoint
+
+
+KS_EQUAL_SIZES = [1000, 9999, 10000, 10001, 50000]  # both sides of scipy's exact-mode cutoff
+KS_UNEQUAL_SIZES = [(1000, 1500), (9999, 10001), (10000, 7), (3, 50000), (12000, 30001)]
+
+
+@pytest.mark.parametrize("kind", ["continuous", "tied", "identical", "disjoint"])
+@pytest.mark.parametrize("n", KS_EQUAL_SIZES)
+def test_ks_statistic_equals_scipy_equal_sizes(n, kind):
+    a, b = _ks_samples(kind, n, n, np.random.default_rng(n))
+    d = _ks_statistic(a, b)
+    assert d == float(stats.ks_2samp(a, b).statistic)
+    if kind == "identical":
+        assert d == 0.0
+    if kind == "disjoint":
+        assert d == 1.0
+
+
+@pytest.mark.parametrize("kind", ["continuous", "tied", "disjoint"])
+@pytest.mark.parametrize("n1,n2", KS_UNEQUAL_SIZES)
+def test_ks_statistic_equals_scipy_unequal_sizes(n1, n2, kind):
+    a, b = _ks_samples(kind, n1, n2, np.random.default_rng(n1 * 7 + n2))
+    assert _ks_statistic(a, b) == float(stats.ks_2samp(a, b).statistic)
+    assert _ks_statistic(b, a) == float(stats.ks_2samp(b, a).statistic)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -238,6 +239,26 @@ def test_load_claims_json(tmp_path):
     broken.write_text(json.dumps({"eps": 0.1}))
     with pytest.raises(InvalidJointError):
         load_claims_json(broken)
+
+
+@pytest.mark.parametrize("content,key", [
+    ({"tau": [0.3, 0.4], "eps": [1]}, "'eps'"),
+    ({"tau": [0.3, 0.4], "eps": True}, "'eps'"),
+    ({"tau": [0.3, 0.4], "eps": "0.01"}, "'eps'"),
+    ({"tau": {"a": 1}}, "'tau'"),
+    ({"tau": 0.3}, "'tau'"),
+    ({"tau": [0.3, "0.4"]}, "'tau'[1]"),
+    ({"tau": [0.3, False]}, "'tau'[1]"),
+    ({"tau": [[0.3], 0.4]}, "'tau'[0]"),
+    ({"tau": [0.3, 0.4], "cross": 5}, "'cross'"),
+    ({"tau": [0.3, 0.4], "cross": ["c.csv"]}, "'cross'"),
+], ids=["eps-array", "eps-bool", "eps-string", "tau-object", "tau-scalar", "tau-string",
+        "tau-bool", "tau-nested", "cross-number", "cross-array"])
+def test_load_claims_json_rejects_wrong_types(tmp_path, content, key):
+    claims = tmp_path / "claims.json"
+    claims.write_text(json.dumps(content))
+    with pytest.raises(InvalidJointError, match=re.escape(f"claims {key} must be")):
+        load_claims_json(claims)
 
 
 def test_load_joint_json(tmp_path):
