@@ -32,7 +32,6 @@ from .finite_sample import (
     expected_sum_sq_mc,
     random_sample_matrix,
     sample_corr,
-    sample_sphere,
     standardize,
     sum_sq_corr,
     svd,
@@ -59,7 +58,6 @@ from .linear_bounds import (
     min_cross_mass,
     multi_outcome_degenerate,
     multi_outcome_min_mass,
-    projection_norm_ok,
     tightness_instance,
     vdc_check,
 )
@@ -69,8 +67,6 @@ from .matrix_core import (
     SecondMomentMatrix,
     SymMatrix,
     equicorrelation,
-    invert_psd,
-    sym_eigen,
     validate_correlation,
 )
 from .pipeline import (
@@ -95,9 +91,7 @@ __all__ = [
     "SecondMomentMatrix",
     "EigenDecomposition",
     "validate_correlation",
-    "sym_eigen",
     "equicorrelation",
-    "invert_psd",
     # linear bounds
     "BoundKind",
     "BoundReport",
@@ -109,7 +103,6 @@ __all__ = [
     "min_cross_mass",
     "multi_outcome_min_mass",
     "multi_outcome_degenerate",
-    "projection_norm_ok",
     "fit_least_squares",
     "max_large_coefficients",
     "tightness_instance",
@@ -132,7 +125,6 @@ __all__ = [
     "sample_corr",
     "svd",
     "sum_sq_corr",
-    "sample_sphere",
     "random_sample_matrix",
     "expected_sum_sq",
     "expected_sum_sq_mc",

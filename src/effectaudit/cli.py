@@ -117,6 +117,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise EffectAuditError(f"--seed must be a non-negative integer, got {seed}")
+
+
 def _stage_seeds(seed: int, count: int) -> list[int]:
     """Derive per-stage integer seeds from one user seed, deterministically."""
     state = np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
@@ -124,6 +129,7 @@ def _stage_seeds(seed: int, count: int) -> list[int]:
 
 
 def _cmd_audit(args: argparse.Namespace) -> tuple[DiagnosticReport, int]:
+    _check_seed(args.seed)
     cfg = AuditConfig(
         outcome_column=args.outcome,
         trials=args.trials,
@@ -159,6 +165,7 @@ def _cmd_check_claims(args: argparse.Namespace) -> tuple[DiagnosticReport, int]:
 def _cmd_simulate_sphere(args: argparse.Namespace) -> tuple[DiagnosticReport, int]:
     if args.n <= args.p or args.p < 1:
         raise EffectAuditError(f"need n > p >= 1, got n={args.n}, p={args.p}")
+    _check_seed(args.seed)
     seed_matrix, seed_mc, seed_ks = _stage_seeds(args.seed, 3)
     x = random_sample_matrix(args.n, args.p, np.random.default_rng(seed_matrix))
     mc = expected_sum_sq_mc(x, args.trials, seed_mc)

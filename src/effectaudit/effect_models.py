@@ -94,7 +94,7 @@ def multiplier_range(field: MultiplicativeField) -> AggregateSummary:
 
 
 def simulate_multiplicative(
-    field: MultiplicativeField, trials: int, seed: int, shards: int = 1
+    field: MultiplicativeField, trials: int, seed: int
 ) -> MonteCarloEstimate:
     """Estimate the sd of the total log effect by simulation.
 
@@ -104,27 +104,20 @@ def simulate_multiplicative(
     ``stderr`` is the normal-theory standard error of a sample standard
     deviation, sd / sqrt(2 (trials - 1)); totals are sums of independent
     activations, so the normal approximation is accurate for any
-    non-trivial count.  Deterministic for a fixed (seed, shards) pair.
+    non-trivial count.  Deterministic for a fixed seed.
     """
     if trials < 2:
         raise InvalidShapeError(f"need at least 2 trials, got {trials}")
-    if shards < 1 or shards > trials:
-        raise InvalidShapeError(f"bad shard count {shards} for {trials} trials")
     log_m = math.log(field.multiplier)
     center = field.count * field.activation_prob * log_m
-    base, extra = divmod(trials, shards)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     moments = RunningMoments()
-    for shard in range(shards):
-        shard_trials = base + (1 if shard < extra else 0)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(shard,)))
-        shard_moments = RunningMoments()
-        done = 0
-        while done < shard_trials:
-            m = min(_SIM_BATCH, shard_trials - done)
-            active = rng.binomial(field.count, field.activation_prob, size=m)
-            shard_moments.update(active * log_m - center)
-            done += m
-        moments.merge(shard_moments)
+    done = 0
+    while done < trials:
+        m = min(_SIM_BATCH, trials - done)
+        active = rng.binomial(field.count, field.activation_prob, size=m)
+        moments.update(active * log_m - center)
+        done += m
     sd = moments.std
     return MonteCarloEstimate(
         mean=sd,

@@ -80,14 +80,6 @@ class RhoOutOfRangeError(EffectAuditError):
     """Equicorrelation parameter outside the positive semidefinite range."""
 
 
-class SingularMatrixError(EffectAuditError):
-    """Matrix is singular (or numerically singular) where invertibility is required."""
-
-    def __init__(self, min_eigenvalue: float):
-        super().__init__(f"matrix is singular: minimum eigenvalue {min_eigenvalue!r}")
-        self.min_eigenvalue = min_eigenvalue
-
-
 class DimensionMismatchError(EffectAuditError):
     """Vector/matrix dimensions do not agree."""
 

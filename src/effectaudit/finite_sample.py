@@ -28,14 +28,15 @@ rounding to a multiple of 1/lcm(n1, n2) when neither sample has more than
 10000 values.
 
 This module provides the exact pieces (standardize, svd, sum_sq_corr) and the
-stochastic ones (sphere sampling, mean estimation, a chi-square mixture
-comparison), all deterministic for a fixed seed.
+stochastic ones (mean estimation, a chi-square mixture comparison), all
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .errors import (
     InvalidShapeError,
     NotStandardizedError,
 )
+from .matrix_core import SymMatrix
 
 COLUMN_MEAN_TOLERANCE = 1e-10
 COLUMN_NORM_TOLERANCE = 1e-10
@@ -54,8 +56,8 @@ SINGULAR_VALUE_CUTOFF = 1e-12
 TRACE_TOLERANCE = 1e-8
 
 # Trials per vectorized batch in the Monte Carlo loops.  Part of the
-# determinism contract: a fixed (seed, shards) pair always replays the same
-# batch boundaries and therefore the same accumulator arithmetic.
+# determinism contract: a fixed seed always replays the same batch
+# boundaries and therefore the same accumulator arithmetic.
 _BATCH = 4096
 
 # Bytes of responses per batch in the direct sphere simulator, which draws a
@@ -85,7 +87,11 @@ class StandardizedVector:
 
 @dataclass(frozen=True, eq=False)
 class SampleMatrix:
-    """n x p data matrix whose columns are standardized, with n > p >= 1."""
+    """n x p data matrix whose columns are standardized, with n > p >= 1.
+
+    The Gram matrix and the Gram-route factors behind :func:`svd` are computed
+    on first use and kept, so every consumer of one design shares them.
+    """
 
     entries: np.ndarray
 
@@ -122,6 +128,16 @@ class SampleMatrix:
     @property
     def p(self) -> int:
         return self.entries.shape[1]
+
+    # Memoizing is safe: the dataclass is frozen and ``entries`` is read-only.
+    @cached_property
+    def gram(self) -> SymMatrix:
+        """X^T X, exactly symmetrized: the columns' sample correlation matrix."""
+        return SymMatrix.symmetrized(self.entries.T @ self.entries)
+
+    @cached_property
+    def _svd_parts(self) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+        return _gram_route(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +178,7 @@ class MonteCarloEstimate:
 class RunningMoments:
     """Single-pass accumulator for count, mean, and centered second moment.
 
-    Batches merge by the standard parallel-update formula, so results are
+    Batches combine by the standard parallel-update formula, so results are
     independent of how trials are split into batches of the same order.
     """
 
@@ -177,14 +193,6 @@ class RunningMoments:
         b_count = int(v.size)
         b_mean = float(v.mean())
         b_m2 = float(((v - b_mean) ** 2).sum())
-        self._combine(b_count, b_mean, b_m2)
-
-    def merge(self, other: "RunningMoments") -> None:
-        self._combine(other.count, other.mean, other.m2)
-
-    def _combine(self, b_count: int, b_mean: float, b_m2: float) -> None:
-        if b_count == 0:
-            return
         total = self.count + b_count
         delta = b_mean - self.mean
         self.mean += delta * b_count / total
@@ -264,23 +272,21 @@ def _pad_orthonormal(
     return out
 
 
-def _gram_route(x: SampleMatrix) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+def _gram_route(
+    x: SampleMatrix,
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
     """Singular values, kept left vectors and right vectors of :func:`svd`.
 
-    Left vectors are returned only for the directions kept above the cutoff;
-    the rest of ``singular_values`` is exact zeros.
+    Read from the design's one eigendecomposition, ``x.gram.eigen``.  Left
+    vectors are returned only for the directions kept above the cutoff; the
+    rest of ``singular_values`` is exact zeros.  Callers read the memoized
+    ``x._svd_parts`` instead of calling this again.
     """
     a = x.entries
     p = a.shape[1]
-    gram = a.T @ a
-    try:
-        lam, vecs = np.linalg.eigh((gram + gram.T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(str(exc)) from exc
-    order = np.argsort(lam)[::-1]
-    lam = np.maximum(lam[order], 0.0)
-    v = vecs[:, order]
-    sigma = np.sqrt(lam)
+    dec = x.gram.eigen
+    v = dec.vectors
+    sigma = np.sqrt(np.maximum(dec.values, 0.0))
 
     left: list[np.ndarray] = []
     for k in range(p):
@@ -295,12 +301,14 @@ def _gram_route(x: SampleMatrix) -> tuple[np.ndarray, list[np.ndarray], np.ndarr
             # sigma[k] is eigensolver noise: the direction has no real mass.
             break
         u /= norm
+        u.flags.writeable = False
         left.append(u)
 
     r = len(left)
     sigma_out = np.zeros(p)
     sigma_out[:r] = sigma[:r]
-    return sigma_out, left, v
+    sigma_out.flags.writeable = False
+    return sigma_out, tuple(left), v
 
 
 def svd(x: SampleMatrix) -> SvdFactorization:
@@ -313,11 +321,11 @@ def svd(x: SampleMatrix) -> SvdFactorization:
     singular values near sqrt(machine eps)), are reported as exact zeros and
     their left vectors filled in by an orthonormal completion.
     """
-    sigma, left, v = _gram_route(x)
-    left.extend(_pad_orthonormal(left, x.n, x.p - len(left)))
+    sigma, left, v = x._svd_parts
+    pad = _pad_orthonormal(list(left), x.n, x.p - len(left))
     return SvdFactorization(
         singular_values=sigma,
-        left_vectors=np.column_stack(left),
+        left_vectors=np.column_stack([*left, *pad]),
         right_vectors=v,
     )
 
@@ -329,17 +337,6 @@ def sum_sq_corr(x: SampleMatrix, y: np.ndarray) -> float:
         raise DimensionMismatchError(f"y has length {ys.n}, X has {x.n} rows")
     c = x.entries.T @ ys.values
     return float(np.dot(c, c))
-
-
-def sample_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the unit sphere in R^n (normalized Gaussian vector)."""
-    if n < 2:
-        raise InvalidShapeError(f"need n >= 2, got {n}")
-    while True:
-        g = rng.standard_normal(n)
-        norm = float(np.linalg.norm(g))
-        if norm > 0.0:
-            return g / norm
 
 
 def random_sample_matrix(n: int, p: int, rng: np.random.Generator) -> SampleMatrix:
@@ -406,31 +403,20 @@ def expected_sum_sq(n: int, p: int) -> float:
     return p / (n - 1)
 
 
-def expected_sum_sq_mc(
-    x: SampleMatrix, trials: int, seed: int, shards: int = 1
-) -> MonteCarloEstimate:
+def expected_sum_sq_mc(x: SampleMatrix, trials: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo estimate of E(sum_i corr(X_i, y)^2) under sphere-uniform y.
 
     Trials are drawn from the exact law of the statistic (see the module
-    docstring), so the cost is O(trials * p) after one O(n * p^2) spectral
-    step.  Trials split across ``shards`` independent substreams derived from
-    ``seed``; a fixed (seed, shards) pair reproduces the estimate bit for bit
-    regardless of execution order.
+    docstring), so the cost is O(trials * p) after the design's one spectral
+    step.  A fixed ``seed`` reproduces the estimate bit for bit.
     """
     if trials < 2:
         raise InvalidShapeError(f"need at least 2 trials, got {trials}")
-    if shards < 1 or shards > trials:
-        raise InvalidShapeError(f"bad shard count {shards} for {trials} trials")
-    sigma_sq = _gram_route(x)[0] ** 2
-    base, extra = divmod(trials, shards)
+    sigma_sq = x._svd_parts[0] ** 2
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     moments = RunningMoments()
-    for shard in range(shards):
-        shard_trials = base + (1 if shard < extra else 0)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(shard,)))
-        shard_moments = RunningMoments()
-        for batch in _law_sum_sq_batches(sigma_sq, x.n, shard_trials, rng):
-            shard_moments.update(batch)
-        moments.merge(shard_moments)
+    for batch in _law_sum_sq_batches(sigma_sq, x.n, trials, rng):
+        moments.update(batch)
     return MonteCarloEstimate(
         mean=moments.mean, stderr=moments.stderr, trials=trials, seed=int(seed)
     )
@@ -453,7 +439,7 @@ def chisq_mixture_compare(x: SampleMatrix, trials: int, seed: int) -> float:
         raise InvalidShapeError(f"need at least 1000 trials for a stable distance, got {trials}")
     rng_sim = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     rng_mix = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    sigma_sq = _gram_route(x)[0] ** 2
+    sigma_sq = x._svd_parts[0] ** 2
     sim = np.concatenate(list(_law_sum_sq_batches(sigma_sq, x.n, trials, rng_sim)))
     xi = rng_mix.chisquare(1.0, size=(trials, sigma_sq.size))
     mix = (xi @ sigma_sq) / (x.n - 1)

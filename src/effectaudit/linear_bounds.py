@@ -26,9 +26,7 @@ from .errors import DimensionMismatchError, EntryOutOfRangeError, TauOutOfRangeE
 from .matrix_core import (
     CorrelationMatrix,
     SecondMomentMatrix,
-    SymMatrix,
     equicorrelation,
-    sym_eigen,
 )
 
 FEASIBILITY_TOLERANCE = 1e-9
@@ -172,7 +170,7 @@ def eigen_bound_check(corr_xy: np.ndarray, cross: CorrelationMatrix) -> BoundRep
             f"corr_xy has length {c.size}, cross is {cross.dim}x{cross.dim}"
         )
     lhs = float(np.dot(c, c))
-    rhs = sym_eigen(cross.base).max_value
+    rhs = cross.base.eigen.max_value
     return BoundReport.from_sides(BoundKind.EIGEN, lhs, rhs)
 
 
@@ -212,19 +210,6 @@ def multi_outcome_min_mass(p: int, tau: float, eps: float) -> float:
 def multi_outcome_degenerate(tau: float, eps: float) -> bool:
     """True when the multi-outcome bound is uninformative (tau < sqrt(2 eps))."""
     return tau < math.sqrt(2.0 * eps)
-
-
-def projection_norm_ok(a: np.ndarray) -> bool:
-    """Feasibility of inner products with orthonormal variables.
-
-    For variables U_1..U_p orthonormal in expectation and unit-variance y, the
-    vector a_i = E(U_i y) must satisfy ||a|| <= 1.  Empty input is feasible.
-    Used as a test helper for the spectral and regression bounds.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return True
-    return float(np.linalg.norm(a)) <= 1.0 + FEASIBILITY_TOLERANCE
 
 
 def fit_least_squares(m: SecondMomentMatrix, c: np.ndarray) -> RegressionSolution:

@@ -21,7 +21,6 @@ from .errors import (
     NotPositiveSemiDefiniteError,
     NotSymmetricError,
     RhoOutOfRangeError,
-    SingularMatrixError,
 )
 
 DEFAULT_PSD_TOLERANCE = 1e-8
@@ -40,7 +39,8 @@ class SymMatrix:
     """Dense square matrix, exactly symmetric, finite entries.
 
     Symmetry is checked bit-for-bit at construction; use :meth:`symmetrized`
-    for inputs that are only symmetric up to rounding.
+    for inputs that are only symmetric up to rounding.  The eigendecomposition
+    is computed on first use and kept: every bound reads this one spectrum.
     """
 
     entries: np.ndarray
@@ -63,6 +63,16 @@ class SymMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+    # Memoizing is safe: the dataclass is frozen and ``entries`` is read-only.
+    @cached_property
+    def eigen(self) -> "EigenDecomposition":
+        """Full symmetric eigendecomposition (LAPACK ``eigh``), eigenvalues descending."""
+        try:
+            vals, vecs = np.linalg.eigh(self.entries)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailureError(str(exc)) from exc
+        return EigenDecomposition(vals[::-1], vecs[:, ::-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,18 +110,17 @@ class CorrelationMatrix:
 class SecondMomentMatrix:
     """Matrix of second moments E(X_i X_j): symmetric positive semidefinite.
 
-    The minimum eigenvalue is computed once at construction and cached.
+    The eigenvalues are those of ``base.eigen``, the base matrix's one
+    decomposition.
     """
 
     base: SymMatrix
     psd_tolerance: float = DEFAULT_PSD_TOLERANCE
 
     def __post_init__(self):
-        vals = _eigvalsh(self.base.entries)
-        lam_min = float(vals[0])
+        lam_min = self.min_eigenvalue
         if lam_min < -self.psd_tolerance:
             raise NotPositiveSemiDefiniteError(lam_min, self.psd_tolerance)
-        object.__setattr__(self, "_spectrum", _readonly(vals))
 
     @property
     def entries(self) -> np.ndarray:
@@ -123,11 +132,11 @@ class SecondMomentMatrix:
 
     @property
     def min_eigenvalue(self) -> float:
-        return float(self._spectrum[0])
+        return self.base.eigen.min_value
 
     @property
     def max_eigenvalue(self) -> float:
-        return float(self._spectrum[-1])
+        return self.base.eigen.max_value
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,14 +163,6 @@ class EigenDecomposition:
         return float(self.values[-1])
 
 
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending."""
-    try:
-        return np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(str(exc)) from exc
-
-
 def _cheap_correlation_violations(m: SymMatrix) -> list[EffectAuditError]:
     a = m.entries
     found: list[EffectAuditError] = []
@@ -186,25 +187,12 @@ def validate_correlation(
     off-diagonal entries, and a minimum eigenvalue below ``-psd_tolerance``.
     """
     violations = _cheap_correlation_violations(m)
-    lam_min = float(_eigvalsh(m.entries)[0])
+    lam_min = m.eigen.min_value
     if lam_min < -psd_tolerance:
         violations.append(NotPositiveSemiDefiniteError(lam_min, psd_tolerance))
     if violations:
         raise CorrelationValidationError(violations)
     return CorrelationMatrix(m)
-
-
-def sym_eigen(m: SymMatrix) -> EigenDecomposition:
-    """Full symmetric eigendecomposition, eigenvalues descending.
-
-    Backed by LAPACK's symmetric solver; reconstruction and orthogonality are
-    accurate to well under the 1e-9 contract used by the tests.
-    """
-    try:
-        vals, vecs = np.linalg.eigh(m.entries)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(str(exc)) from exc
-    return EigenDecomposition(vals[::-1].copy(), vecs[:, ::-1].copy())
 
 
 def equicorrelation(p: int, rho: float) -> CorrelationMatrix:
@@ -225,17 +213,3 @@ def equicorrelation(p: int, rho: float) -> CorrelationMatrix:
     a = np.full((p, p), float(rho))
     np.fill_diagonal(a, 1.0)
     return CorrelationMatrix(SymMatrix(a))
-
-
-def invert_psd(m: SecondMomentMatrix, rank_tolerance: float = 0.0) -> SymMatrix:
-    """Inverse of a strictly positive definite second-moment matrix.
-
-    Raises :class:`SingularMatrixError` when the minimum eigenvalue is at or
-    below ``rank_tolerance``.  The inverse is assembled from the
-    eigendecomposition and symmetrized exactly.
-    """
-    if m.min_eigenvalue <= rank_tolerance:
-        raise SingularMatrixError(m.min_eigenvalue)
-    dec = sym_eigen(m.base)
-    inv = (dec.vectors / dec.values) @ dec.vectors.T
-    return SymMatrix.symmetrized(inv)

@@ -306,7 +306,9 @@ def audit_dataset(ds: Dataset, cfg: AuditConfig) -> DiagnosticReport:
 
     Columns are standardized, so the empirical second-moment matrix of the
     predictors is exactly their sample correlation matrix and the regression
-    bound applies to the standardized coefficients.
+    bound applies to the standardized coefficients.  Every spectral quantity
+    (PSD check, lambda_max, lambda_min, spectrum, singular values, Monte
+    Carlo weights) comes from the one memoized decomposition of ``x.gram``.
     """
     y_idx = _resolve_outcome(ds, cfg.outcome_column)
     pred_idx = [i for i in range(len(ds.column_names)) if i != y_idx]
@@ -326,8 +328,7 @@ def audit_dataset(ds: Dataset, cfg: AuditConfig) -> DiagnosticReport:
     y_std = std_cols[-1]
 
     corr_xy = x.entries.T @ y_std
-    gram = x.entries.T @ x.entries
-    cross = validate_correlation(SymMatrix.symmetrized(gram), cfg.psd_tolerance)
+    cross = validate_correlation(x.gram, cfg.psd_tolerance)
 
     vdc = vdc_check(corr_xy, cross)
     eigen = eigen_bound_check(corr_xy, cross)
@@ -335,7 +336,7 @@ def audit_dataset(ds: Dataset, cfg: AuditConfig) -> DiagnosticReport:
     fit = fit_least_squares(second_moment, corr_xy)
     regression = BoundReport.from_sides(BoundKind.REGRESSION, fit.norm_sq, fit.bound)
 
-    spectrum = np.linalg.eigvalsh(cross.entries)[::-1]
+    spectrum = cross.base.eigen.values
     fac = svd(x)
     mc = expected_sum_sq_mc(x, cfg.trials, cfg.seed)
 

@@ -125,6 +125,21 @@ def test_simulate_sphere_bad_shape_exit_two(capsys):
     assert code == 2 and "n > p" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "-5"])
+def test_audit_negative_seed_named(capsys, seed):
+    code, out, err = run(capsys, "audit", BOUNDARY_CSV, "--outcome", "y", "--seed", seed)
+    assert code == 2 and out == ""
+    assert f"--seed must be a non-negative integer, got {seed}" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", "-5"])
+def test_simulate_sphere_negative_seed_named(capsys, seed):
+    argv = ("simulate-sphere", "--n", "50", "--p", "3", "--trials", "1000", "--seed", seed)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"--seed must be a non-negative integer, got {seed}" in err
+
+
 def test_aggregate_text_output(capsys):
     code, out, _ = run(capsys, "aggregate", "--count", "100", "--multiplier", "1.13")
     assert code == 0

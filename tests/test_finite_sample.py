@@ -17,7 +17,6 @@ from effectaudit import (
     expected_sum_sq_mc,
     random_sample_matrix,
     sample_corr,
-    sample_sphere,
     standardize,
     sum_sq_corr,
     svd,
@@ -207,23 +206,6 @@ def test_sum_sq_corr_length_mismatch():
         sum_sq_corr(x, np.arange(9.0))
 
 
-def test_sample_sphere_norm_and_symmetry():
-    rng = np.random.default_rng(41)
-    trials, n = 2000, 8
-    coord_mean = RunningMoments()
-    for _ in range(trials):
-        v = rng.standard_normal(n)
-        v = v / np.linalg.norm(v)
-        assert abs(float(np.linalg.norm(v)) - 1.0) < 1e-12
-        coord_mean.update(v)
-    # each coordinate has mean 0 and variance 1/n; 4-sigma CLT band
-    assert abs(coord_mean.mean) < 4.0 * math.sqrt(1.0 / (n * trials))
-    got = sample_sphere(n, np.random.default_rng(41))
-    assert abs(float(np.linalg.norm(got)) - 1.0) < 1e-12
-    with pytest.raises(InvalidShapeError):
-        sample_sphere(1, rng)
-
-
 def test_running_moments_matches_numpy():
     rng = np.random.default_rng(55)
     data = rng.standard_normal(10_001) * 3.0 + 2.0
@@ -234,20 +216,6 @@ def test_running_moments_matches_numpy():
     assert m.mean == pytest.approx(float(data.mean()), rel=1e-12)
     assert m.std == pytest.approx(float(data.std(ddof=1)), rel=1e-12)
     assert m.stderr == pytest.approx(float(data.std(ddof=1)) / math.sqrt(data.size), rel=1e-12)
-
-
-def test_running_moments_merge_equals_single_pass():
-    rng = np.random.default_rng(56)
-    data = rng.standard_normal(5000)
-    whole = RunningMoments()
-    whole.update(data)
-    a, b = RunningMoments(), RunningMoments()
-    a.update(data[:1234])
-    b.update(data[1234:])
-    a.merge(b)
-    assert a.count == whole.count
-    assert a.mean == pytest.approx(whole.mean, rel=1e-13)
-    assert a.variance == pytest.approx(whole.variance, rel=1e-12)
 
 
 def test_expected_sum_sq_formula():
@@ -286,14 +254,14 @@ def test_mc_grid_matches_analytic_average(n, p, seed):
     assert var_hat <= 10.0 * (p / (n - 1)) ** 2 * (2.0 / p) + 1e-12
 
 
-def test_mc_shard_determinism_and_agreement():
+def test_mc_seed_determinism_and_agreement():
     rng = np.random.default_rng(77)
     x = random_sample_matrix(40, 6, rng)
-    one = expected_sum_sq_mc(x, trials=30_000, seed=9, shards=3)
-    two = expected_sum_sq_mc(x, trials=30_000, seed=9, shards=3)
+    one = expected_sum_sq_mc(x, trials=30_000, seed=9)
+    two = expected_sum_sq_mc(random_sample_matrix(40, 6, np.random.default_rng(77)), 30_000, 9)
     assert one.mean == two.mean and one.stderr == two.stderr  # bit-identical
-    other = expected_sum_sq_mc(x, trials=30_000, seed=9, shards=5)
-    assert other.mean != one.mean  # different substreams
+    other = expected_sum_sq_mc(x, trials=30_000, seed=10)
+    assert other.mean != one.mean  # different streams
     sigma = math.hypot(one.stderr, other.stderr)
     assert abs(one.mean - other.mean) < 4.0 * sigma
     truth = expected_sum_sq(40, 6)
@@ -306,10 +274,6 @@ def test_mc_argument_validation():
     x = random_sample_matrix(6, 2, rng)
     with pytest.raises(InvalidShapeError):
         expected_sum_sq_mc(x, trials=1, seed=0)
-    with pytest.raises(InvalidShapeError):
-        expected_sum_sq_mc(x, trials=100, seed=0, shards=0)
-    with pytest.raises(InvalidShapeError):
-        expected_sum_sq_mc(x, trials=100, seed=0, shards=101)
 
 
 def test_chisq_mixture_compare_deterministic_and_small():

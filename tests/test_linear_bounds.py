@@ -16,7 +16,6 @@ from effectaudit import (
     min_cross_mass,
     multi_outcome_degenerate,
     multi_outcome_min_mass,
-    projection_norm_ok,
     tightness_instance,
     vdc_check,
 )
@@ -101,12 +100,6 @@ def test_eigen_bound_tightness_instance_equality():
     assert r.lhs == pytest.approx(5.41, abs=1e-9)
     assert r.rhs == pytest.approx(5.41, abs=1e-9)
     assert r.satisfied
-
-
-def test_projection_norm_ok():
-    assert projection_norm_ok(np.array([0.6, 0.8]))  # norm exactly 1
-    assert not projection_norm_ok(np.array([0.8, 0.7]))  # norm ~1.063
-    assert projection_norm_ok(np.array([]))  # p = 0 is vacuously feasible
 
 
 def test_fit_least_squares_identity():

@@ -7,8 +7,6 @@ from effectaudit import (
     SecondMomentMatrix,
     SymMatrix,
     equicorrelation,
-    invert_psd,
-    sym_eigen,
     validate_correlation,
 )
 from effectaudit.errors import (
@@ -18,7 +16,6 @@ from effectaudit.errors import (
     NotPositiveSemiDefiniteError,
     NotSymmetricError,
     RhoOutOfRangeError,
-    SingularMatrixError,
 )
 
 
@@ -117,7 +114,7 @@ def test_validate_matches_eigensolver_on_random_grams():
 
 def test_sym_eigen_equicorrelation_spectrum():
     # closed form: 1 + (p-1) rho once, 1 - rho with multiplicity p-1
-    dec = sym_eigen(equicorrelation(5, 0.2).base)
+    dec = equicorrelation(5, 0.2).base.eigen
     expected = np.array([1.8, 0.8, 0.8, 0.8, 0.8])
     assert np.allclose(dec.values, expected, atol=1e-12)
 
@@ -128,7 +125,7 @@ def test_sym_eigen_reconstruction_and_orthogonality():
         p = int(rng.integers(1, 12))
         a = random_correlation(rng, p)
         m = SymMatrix.symmetrized(a)
-        dec = sym_eigen(m)
+        dec = m.eigen
         assert np.all(np.diff(dec.values) <= 0)  # descending
         recon = (dec.vectors * dec.values) @ dec.vectors.T
         scale = max(1.0, np.abs(m.entries).max())
@@ -138,8 +135,9 @@ def test_sym_eigen_reconstruction_and_orthogonality():
 
 def test_sym_eigen_deterministic():
     a = random_correlation(np.random.default_rng(3), 6)
-    m = SymMatrix.symmetrized(a)
-    d1, d2 = sym_eigen(m), sym_eigen(m)
+    # two objects: one object returns its one cached decomposition
+    d1 = SymMatrix.symmetrized(a).eigen
+    d2 = SymMatrix.symmetrized(a).eigen
     assert np.array_equal(d1.values, d2.values)
     assert np.array_equal(d1.vectors, d2.vectors)
 
@@ -160,23 +158,3 @@ def test_second_moment_rejects_indefinite():
     a = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(NotPositiveSemiDefiniteError):
         SecondMomentMatrix(SymMatrix(a))
-
-
-def test_invert_psd_accuracy():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        p = int(rng.integers(1, 10))
-        b = rng.standard_normal((p + 3, p))
-        g = b.T @ b + 0.05 * np.eye(p)
-        m = SecondMomentMatrix(SymMatrix.symmetrized(g))
-        inv = invert_psd(m)
-        cond = m.max_eigenvalue / m.min_eigenvalue
-        err = np.abs(m.entries @ inv.entries - np.eye(p)).max()
-        assert err <= 1e-8 * cond
-
-
-def test_invert_psd_singular():
-    b = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank 1
-    m = SecondMomentMatrix(SymMatrix(b))
-    with pytest.raises(SingularMatrixError):
-        invert_psd(m, rank_tolerance=1e-10)

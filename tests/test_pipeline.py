@@ -35,6 +35,7 @@ from effectaudit.report import (
     TightnessSection,
 )
 from effectaudit import __version__
+from effectaudit.cli import main
 from effectaudit.errors import (
     ConstantColumnError,
     CorrelationValidationError,
@@ -339,6 +340,68 @@ def test_audit_dataset_boundary_equalities():
     np.testing.assert_allclose(d.outcome_correlations, [0.5] * 4, atol=1e-12)
     np.testing.assert_allclose(d.spectrum, [1.0] * 4, atol=1e-9)
     assert d.mc.trials == 2000 and rep.seed == 3
+
+
+def random_design(rng: np.random.Generator, n: int, p: int) -> Dataset:
+    """p correlated predictors (one shared factor) and an outcome built from them."""
+    factor = rng.standard_normal((n, 1))
+    x = rng.standard_normal((n, p)) + rng.uniform(0.0, 2.0) * factor
+    y = x @ rng.standard_normal(p) + rng.standard_normal(n)
+    names = tuple(f"x{i}" for i in range(p)) + ("y",)
+    return Dataset(column_names=names, columns=tuple(x.T) + (y,))
+
+
+def test_audit_dataset_reads_one_spectrum():
+    # spectrum, the eigen bound's rhs and lambda_min come from one decomposition
+    rng = np.random.default_rng(16)
+    for _ in range(60):
+        ds = random_design(rng, 200, int(rng.integers(2, 21)))
+        d = audit_dataset(ds, AuditConfig(outcome_column="y", trials=2)).dataset
+        assert d.spectrum[0] == d.eigen.rhs
+        assert d.spectrum[-1] == d.lambda_min
+        assert d.sigma1_sq == pytest.approx(d.spectrum[0], rel=1e-12)
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Count np.linalg.eigh and eigvalsh calls made while the test runs."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    return calls
+
+
+@pytest.mark.parametrize("design", ["random", "singular"])
+def test_audit_dataset_decomposes_once(eig_calls, design):
+    if design == "random":
+        ds = random_design(np.random.default_rng(17), 200, 12)
+    else:
+        ds = load_csv_file(DUPLICATED_CSV)
+    audit_dataset(ds, AuditConfig(outcome_column="y", trials=1000))
+    assert eig_calls == {"eigh": 1, "eigvalsh": 0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-sphere", "--n", "200", "--p", "5", "--trials", "2000", "--seed", "1"],
+    ["check-claims", "--tau", "0.3", "--p", "3", "--cross", "CROSS"],
+])
+def test_cli_request_decomposes_once(eig_calls, tmp_path, capsys, argv):
+    cross = tmp_path / "cross.csv"
+    cross.write_text("a,b,c\n1,0.2,0.1\n0.2,1,0.3\n0.1,0.3,1\n")
+    argv = [str(cross) if a == "CROSS" else a for a in argv]
+    assert main(argv) in (0, 1)
+    assert capsys.readouterr().err == ""
+    assert eig_calls == {"eigh": 1, "eigvalsh": 0}
 
 
 def test_audit_dataset_outcome_selection_and_errors():
