@@ -147,7 +147,8 @@ def _cmd_check_claims(args: argparse.Namespace) -> tuple[DiagnosticReport, int]:
     if args.claims is not None:
         if args.tau is not None or args.p is not None:
             raise EffectAuditError("give either --claims or --tau/--p, not both")
-        claims, file_eps = load_claims_json(args.claims)
+        # --cross replaces the file's matrix, as --eps replaces its eps.
+        claims, file_eps = load_claims_json(args.claims, read_cross=args.cross is None)
     else:
         if args.tau is None or args.p is None:
             raise EffectAuditError("need --tau and --p when no --claims file is given")

@@ -139,6 +139,11 @@ class SampleMatrix:
     def _svd_parts(self) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
         return _gram_route(self)
 
+    @property
+    def singular_values(self) -> np.ndarray:
+        """The descending, read-only singular values of :func:`svd`, without its left vectors."""
+        return self._svd_parts[0]
+
 
 @dataclass(frozen=True, eq=False)
 class SvdFactorization:
@@ -412,7 +417,7 @@ def expected_sum_sq_mc(x: SampleMatrix, trials: int, seed: int) -> MonteCarloEst
     """
     if trials < 2:
         raise InvalidShapeError(f"need at least 2 trials, got {trials}")
-    sigma_sq = x._svd_parts[0] ** 2
+    sigma_sq = x.singular_values ** 2
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     moments = RunningMoments()
     for batch in _law_sum_sq_batches(sigma_sq, x.n, trials, rng):
@@ -439,7 +444,7 @@ def chisq_mixture_compare(x: SampleMatrix, trials: int, seed: int) -> float:
         raise InvalidShapeError(f"need at least 1000 trials for a stable distance, got {trials}")
     rng_sim = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     rng_mix = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    sigma_sq = x._svd_parts[0] ** 2
+    sigma_sq = x.singular_values ** 2
     sim = np.concatenate(list(_law_sum_sq_batches(sigma_sq, x.n, trials, rng_sim)))
     xi = rng_mix.chisquare(1.0, size=(trials, sigma_sq.size))
     mix = (xi @ sigma_sq) / (x.n - 1)
@@ -457,11 +462,15 @@ def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     a = np.sort(a)
     b = np.sort(b)
     n1, n2 = a.size, b.size
-    both = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, both, side="right") / n1
-    cdf_b = np.searchsorted(b, both, side="right") / n2
-    diff = cdf_a - cdf_b
-    d = max(float(diff.max()), float(np.clip(-diff.min(), 0.0, 1.0)))
+    # The CDF difference at a's points, then at b's: the extremes over the
+    # union, without holding an (n1 + n2)-sized array.
+    hi, lo = -np.inf, np.inf
+    for points in (a, b):
+        diff = np.searchsorted(a, points, side="right") / n1
+        diff -= np.searchsorted(b, points, side="right") / n2
+        hi = max(hi, float(diff.max()))
+        lo = min(lo, float(diff.min()))
+    d = max(hi, float(np.clip(-lo, 0.0, 1.0)))
     if max(n1, n2) <= _KS_EXACT_MAX_N:
         lcm = (n1 // math.gcd(n1, n2)) * n2
         d = round(d * lcm) / lcm

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .finite_sample import (
     expected_sum_sq,
     expected_sum_sq_mc,
     standardize,
-    svd,
 )
 from .info_bounds import DiscreteJoint
 from .linear_bounds import (
@@ -153,24 +152,31 @@ def _split_lines(data: bytes) -> list[str]:
 def _parse_body(lines: list[str], width: int) -> np.ndarray:
     """Parse data lines (the header excluded) into a (rows, width) array.
 
-    One C-level pass converts every cell when the body is plain ASCII without
-    '_' (which ``float`` would otherwise accept, as in '1_000' or non-ASCII
-    digits), every row has ``width`` cells and every value is finite.
-    Otherwise the cells are walked in row-major order, which raises the first
-    fault; error rows count the header as row 1.
+    When the body is plain ASCII without '_' (which ``float`` would otherwise
+    accept, as in '1_000' or non-ASCII digits), numpy's C reader converts it
+    in one pass; each cell goes through the same string-to-double conversion
+    as ``float``, so the values are identical.  Its result is kept only when
+    it has exactly one row of ``width`` finite values per line: the reader
+    skips blank lines and does not check rows against the header's width, so
+    the shape check catches those.  Otherwise the cells are walked in
+    row-major order, which raises the first fault; error rows count the header
+    as row 1.
     """
-    rows = [line.split(",") for line in lines]
-    n = len(rows)
+    n = len(lines)
     body = "".join(lines)
-    if body.isascii() and "_" not in body and set(map(len, rows)) <= {width}:
+    if body.isascii() and "_" not in body:
         try:
-            values = np.fromiter(map(float, chain.from_iterable(rows)), float, count=n * width)
+            with warnings.catch_warnings():
+                # e.g. "input contained no data" on an all-blank body
+                warnings.simplefilter("ignore")
+                values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             values = None
-        if values is not None and np.isfinite(values).all():
-            return values.reshape(n, width)
+        if values is not None and values.shape == (n, width) and np.isfinite(values).all():
+            return values
     values = np.empty((n, width))
-    for i, row in enumerate(rows):
+    for i, line in enumerate(lines):
+        row = line.split(",")
         if len(row) != width:
             raise RaggedRowError(i + 2, width, len(row))
         for j, cell in enumerate(row):
@@ -225,13 +231,17 @@ def load_matrix_csv(path: str | os.PathLike) -> CorrelationMatrix:
     return validate_correlation(SymMatrix.symmetrized(values))
 
 
-def load_claims_json(path: str | os.PathLike) -> tuple[ClaimSet, float | None]:
+def load_claims_json(
+    path: str | os.PathLike, *, read_cross: bool = True
+) -> tuple[ClaimSet, float | None]:
     """Read a claims file: {"tau": [...], "cross": path or null, "eps": real or null}.
 
     ``tau`` must be an array of JSON numbers, ``eps`` a number and ``cross`` a
     string; booleans and numeric strings are rejected.  A relative ``cross``
-    path is resolved against the claims file's directory.  Returns the claim
-    set and the file's eps (None when absent).
+    path is resolved against the claims file's directory.  With
+    ``read_cross=False`` (the caller supplies its own matrix) ``cross`` is
+    type-checked but its file is not read, and the claim set has no cross
+    matrix.  Returns the claim set and the file's eps (None when absent).
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -253,9 +263,10 @@ def load_claims_json(path: str | os.PathLike) -> tuple[ClaimSet, float | None]:
             raise InvalidJointError(
                 f"claims 'cross' must be a file path or null, got {json.dumps(cross_path)}"
             )
-        if not os.path.isabs(cross_path):
-            cross_path = os.path.join(os.path.dirname(os.fspath(path)), cross_path)
-        cross = load_matrix_csv(cross_path)
+        if read_cross:
+            if not os.path.isabs(cross_path):
+                cross_path = os.path.join(os.path.dirname(os.fspath(path)), cross_path)
+            cross = load_matrix_csv(cross_path)
     return ClaimSet(tau=np.asarray(tau, dtype=float), cross=cross), (
         None if eps is None else float(eps)
     )
@@ -337,7 +348,7 @@ def audit_dataset(ds: Dataset, cfg: AuditConfig) -> DiagnosticReport:
     regression = BoundReport.from_sides(BoundKind.REGRESSION, fit.norm_sq, fit.bound)
 
     spectrum = cross.base.eigen.values
-    fac = svd(x)
+    sv = x.singular_values
     mc = expected_sum_sq_mc(x, cfg.trials, cfg.seed)
 
     section = DatasetAuditSection(
@@ -353,8 +364,8 @@ def audit_dataset(ds: Dataset, cfg: AuditConfig) -> DiagnosticReport:
         regression=regression,
         beta=[float(v) for v in fit.beta],
         lambda_min=fit.lambda_min,
-        singular_values=[float(v) for v in fac.singular_values],
-        sigma1_sq=fac.sigma1_sq,
+        singular_values=[float(v) for v in sv],
+        sigma1_sq=float(sv[0] ** 2),
         expected_sum_sq=expected_sum_sq(ds.n, p),
         mc=mc,
     )

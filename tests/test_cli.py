@@ -318,6 +318,20 @@ def test_audit_csv_outside_dialect_exit_two(capsys, tmp_path):
     assert "row 3, column 2: not a plain ASCII number: '1_000'" in err
 
 
+@pytest.mark.parametrize("body,message", [
+    ("\n \n\t\n", "matrix file needs a header row and at least one data row"),
+    ("\n1,0.1\n", "row 2: expected 2 cells, got 1"),
+], ids=["all-blank", "blank-first-row"])
+def test_cross_csv_with_blank_body_exit_two_without_warnings(tmp_path, body, message):
+    # numpy's reader skips blank lines and may warn; neither may show
+    cross = tmp_path / "cross.csv"
+    cross.write_text("a,b\n" + body)
+    [(code, out, err)] = run_fresh([["check-claims", "--tau", "0.5", "--p", "2",
+                                     "--cross", str(cross)]])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and message in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys)[0] == 2
@@ -370,6 +384,33 @@ def test_claims_file_wrong_type_exit_two(capsys, tmp_path, content, key):
     code, out, err = run(capsys, "check-claims", "--claims", str(claims))
     assert code == 2 and out == ""
     assert f"claims {key} must be" in err
+
+
+@pytest.mark.parametrize("file_cross", ["invalid.csv", "missing.csv"])
+def test_check_claims_cross_flag_replaces_the_files_matrix(capsys, tmp_path, file_cross):
+    # The file's matrix is never read when --cross is given: an invalid or
+    # missing one does not change the verdict, which comes from --cross alone.
+    (tmp_path / "invalid.csv").write_text("a,b\n1,2.0\n2.0,1\n")
+    cross = tmp_path / "cross.csv"
+    cross.write_text("a,b\n1,0.9\n0.9,1\n")
+    # The file's keys are still type-checked.
+    wrong_type = tmp_path / "wrong_type.json"
+    wrong_type.write_text(json.dumps({"tau": [0.9, 0.9], "cross": 5}))
+    code, out, err = run(capsys, "check-claims", "--claims", str(wrong_type), "--cross", str(cross))
+    assert code == 2 and out == "" and "claims 'cross' must be" in err
+    with_file = tmp_path / "with_file.json"
+    with_file.write_text(json.dumps({"tau": [0.9, 0.9], "cross": file_cross, "eps": 0.01}))
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"tau": [0.9, 0.9], "eps": 0.01}))
+    code, out, err = run(capsys, "check-claims", "--claims", str(with_file), "--cross", str(cross),
+                         "--format", "json")
+    assert code in (0, 1) and err == ""
+    assert (code, out, err) == run(capsys, "check-claims", "--claims", str(plain),
+                                   "--cross", str(cross), "--format", "json")
+    assert json.loads(out)["claims"]["cross_supplied"] is True
+    if file_cross == "invalid.csv":
+        code, _, err = run(capsys, "check-claims", "--claims", str(with_file))
+        assert code == 2 and "entry [0,1] = 2.0 outside [-1, 1]" in err
 
 
 # The source tree of the package under test, for child interpreters.

@@ -4,10 +4,14 @@ import json
 import math
 import os
 import re
+import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effectaudit import (
     AuditConfig,
@@ -48,6 +52,7 @@ from effectaudit.errors import (
     UnknownColumnError,
 )
 from effectaudit.finite_sample import MonteCarloEstimate
+from effectaudit.pipeline import _parse_body, _parse_cell
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 BOUNDARY_CSV = os.path.join(HERE, "data", "boundary.csv")
@@ -179,6 +184,94 @@ def test_load_csv_values_equal_float_of_each_cell():
                            for row in values.tolist()]
     ds = load_csv(csv_bytes(*lines))
     np.testing.assert_array_equal(np.column_stack(ds.columns), values)
+
+
+def cell_walk(lines: list[str], width: int) -> np.ndarray:
+    """Reference parser: the row-major cell walk alone, without the C reader."""
+    values = np.empty((len(lines), width))
+    for i, line in enumerate(lines):
+        row = line.split(",")
+        if len(row) != width:
+            raise RaggedRowError(i + 2, width, len(row))
+        for j, cell in enumerate(row):
+            values[i, j] = _parse_cell(cell, i + 2, j + 1)
+    return values
+
+
+# Plain ASCII numbers in the spellings ``float`` accepts, padded with spaces or
+# tabs; a small pool of fixed spellings makes ties common.
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(lambda v: f"{v:.6f}"),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from([
+        "0", "-0", "+0", "-0.0", "4.9e-324", "-5e-324", "2.2250738585072014e-308", "1e-310",
+        "1e308", "-1e308", "1.7976931348623157e308", "1e-400", "-1e-400", "+1.5", "+7",
+        ".5", "-.5", "1.", "+1.", "1E5", "1e+05", "007", "0.1",
+    ]),
+)
+PAD = st.sampled_from(["", "", " ", "  ", "\t", " \t "])
+CELLS = st.tuples(PAD, NUMBERS, PAD).map("".join)
+
+
+def bodies(min_width=1):
+    """(lines, width) of a well-formed body."""
+    return st.integers(min_width, 6).flatmap(lambda w: st.tuples(
+        st.lists(st.lists(CELLS, min_size=w, max_size=w), min_size=1, max_size=12)
+        .map(lambda rows: [",".join(r) for r in rows]),
+        st.just(w),
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bodies())
+def test_parse_body_equals_the_cell_walk_bit_for_bit(body):
+    lines, width = body
+    # a well-formed body never reaches the cell walk
+    with mock.patch("effectaudit.pipeline._parse_cell", side_effect=AssertionError("walked")):
+        got = _parse_body(lines, width)
+    want = cell_walk(lines, width)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# "\xa01": numpy's reader accepts a non-breaking space as padding, the dialect does not.
+CELL_FAULTS = ["", "NaN", "inf", "-inf", "1e400", "goat", "1_000", "\xa01"]
+LINE_FAULTS = ["short row", "long row", "blank line"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bodies(min_width=2), st.sampled_from(CELL_FAULTS + LINE_FAULTS), st.data())
+def test_parse_body_raises_what_the_cell_walk_raises(body, fault, data):
+    lines, width = body
+    i = data.draw(st.integers(0, len(lines) - 1), label="row")
+    cells = lines[i].split(",")
+    if fault == "short row":
+        lines[i] = ",".join(cells[:-1])
+    elif fault == "long row":
+        lines[i] += ",1"
+    elif fault == "blank line":
+        lines[i] = ""
+    else:
+        cells[data.draw(st.integers(0, width - 1), label="col")] = fault
+        lines[i] = ",".join(cells)
+    assert_raises_like_the_cell_walk(lines, width)
+
+
+@pytest.mark.parametrize("lines,width", [([""], 1), (["", ""], 2), (["", "", ""], 3)])
+def test_parse_body_of_blank_lines_warns_nothing(lines, width):
+    # numpy's reader warns "input contained no data" on such a body
+    assert_raises_like_the_cell_walk(lines, width)
+
+
+def assert_raises_like_the_cell_walk(lines: list[str], width: int) -> None:
+    """``_parse_body`` raises the cell walk's error type and message, and warns nothing."""
+    with pytest.raises((CsvParseError, MissingValueError, RaggedRowError)) as want:
+        cell_walk(lines, width)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(type(want.value)) as got:
+            _parse_body(lines, width)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 def test_load_csv_drops_bom_and_keeps_header_characters():
@@ -394,11 +487,16 @@ def test_audit_dataset_decomposes_once(eig_calls, design):
 @pytest.mark.parametrize("argv", [
     ["simulate-sphere", "--n", "200", "--p", "5", "--trials", "2000", "--seed", "1"],
     ["check-claims", "--tau", "0.3", "--p", "3", "--cross", "CROSS"],
+    # --cross replaces the file's matrix, which is then not read
+    ["check-claims", "--claims", "CLAIMS", "--cross", "CROSS"],
 ])
 def test_cli_request_decomposes_once(eig_calls, tmp_path, capsys, argv):
     cross = tmp_path / "cross.csv"
     cross.write_text("a,b,c\n1,0.2,0.1\n0.2,1,0.3\n0.1,0.3,1\n")
-    argv = [str(cross) if a == "CROSS" else a for a in argv]
+    claims = tmp_path / "claims.json"
+    claims.write_text(json.dumps({"tau": [0.3, 0.3, 0.3], "cross": "cross.csv"}))
+    paths = {"CROSS": str(cross), "CLAIMS": str(claims)}
+    argv = [paths.get(a, a) for a in argv]
     assert main(argv) in (0, 1)
     assert capsys.readouterr().err == ""
     assert eig_calls == {"eigh": 1, "eigvalsh": 0}
