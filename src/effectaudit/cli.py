@@ -25,6 +25,7 @@ from .effect_models import (
 )
 from .errors import EffectAuditError
 from .finite_sample import (
+    MAX_MIXTURE_TRIALS,
     chisq_mixture_compare,
     expected_sum_sq,
     expected_sum_sq_mc,
@@ -166,6 +167,11 @@ def _cmd_check_claims(args: argparse.Namespace) -> tuple[DiagnosticReport, int]:
 def _cmd_simulate_sphere(args: argparse.Namespace) -> tuple[DiagnosticReport, int]:
     if args.n <= args.p or args.p < 1:
         raise EffectAuditError(f"need n > p >= 1, got n={args.n}, p={args.p}")
+    if args.trials > MAX_MIXTURE_TRIALS:
+        # The KS comparison holds every trial; refuse before drawing anything.
+        raise EffectAuditError(
+            f"--trials must be at most {MAX_MIXTURE_TRIALS}, got {args.trials}"
+        )
     _check_seed(args.seed)
     seed_matrix, seed_mc, seed_ks = _stage_seeds(args.seed, 3)
     x = random_sample_matrix(args.n, args.p, np.random.default_rng(seed_matrix))

@@ -27,6 +27,11 @@ scipy's ``ks_2samp(...).statistic`` bit for bit, including the exact-mode
 rounding to a multiple of 1/lcm(n1, n2) when neither sample has more than
 10000 values.
 
+The singular values come from the design's one Gram-matrix eigendecomposition.
+The rank they imply is decided by a QR of X V accumulated over fixed row
+blocks, so reading them holds no n x p array beyond the data.  Left singular
+vectors are built only by :func:`svd`, on request.
+
 This module provides the exact pieces (standardize, svd, sum_sq_corr) and the
 stochastic ones (mean estimation, a chi-square mixture comparison), all
 deterministic for a fixed seed.
@@ -60,9 +65,21 @@ TRACE_TOLERANCE = 1e-8
 # boundaries and therefore the same accumulator arithmetic.
 _BATCH = 4096
 
+# Rows per block of the QR that decides the rank: one block's X V product is
+# the largest array the rank decision holds.  On a 20000 x 50 design, 2048 to
+# 8192 rows took 34-36 ms and 1024 rows 44 ms.
+_QR_ROWS = 2048
+
 # Bytes of responses per batch in the direct sphere simulator, which draws a
 # full n-vector per trial; its row count shrinks as n grows.
 _DIRECT_BATCH_BYTES = 16 * 2**20
+
+# Memory one chisq_mixture_compare call may hold, and what it holds per trial
+# (tracemalloc peak over trials: 57 bytes at 10^5 trials and p = 50, 56 at
+# 10^6, whatever p is).  simulate-sphere refuses more trials than fit.
+_MIXTURE_MEMORY_BUDGET = 2**30
+_MIXTURE_BYTES_PER_TRIAL = 64
+MAX_MIXTURE_TRIALS = _MIXTURE_MEMORY_BUDGET // _MIXTURE_BYTES_PER_TRIAL
 
 # Largest sample for which scipy's ks_2samp (method "auto") computes the
 # exact p-value, rounding the statistic to a multiple of 1/lcm(n1, n2).
@@ -89,8 +106,9 @@ class StandardizedVector:
 class SampleMatrix:
     """n x p data matrix whose columns are standardized, with n > p >= 1.
 
-    The Gram matrix and the Gram-route factors behind :func:`svd` are computed
-    on first use and kept, so every consumer of one design shares them.
+    The Gram matrix and the Gram-route factors behind :func:`svd` (singular
+    values with the rank applied, and right vectors) are computed on first
+    use and kept, so every consumer of one design shares them.
     """
 
     entries: np.ndarray
@@ -136,7 +154,7 @@ class SampleMatrix:
         return SymMatrix.symmetrized(self.entries.T @ self.entries)
 
     @cached_property
-    def _svd_parts(self) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    def _svd_parts(self) -> tuple[np.ndarray, np.ndarray]:
         return _gram_route(self)
 
     @property
@@ -277,60 +295,60 @@ def _pad_orthonormal(
     return out
 
 
-def _gram_route(
-    x: SampleMatrix,
-) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
-    """Singular values, kept left vectors and right vectors of :func:`svd`.
+def _gram_route(x: SampleMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right vectors of :func:`svd`, with the rank decided.
 
-    Read from the design's one eigendecomposition, ``x.gram.eigen``.  Left
-    vectors are returned only for the directions kept above the cutoff; the
-    rest of ``singular_values`` is exact zeros.  Callers read the memoized
-    ``x._svd_parts`` instead of calling this again.
+    Read from the design's one eigendecomposition, ``x.gram.eigen``:
+    sigma_k = sqrt(lambda_k).  The rank is the first k at which X V_k
+    collapses: |R_kk| / sigma_k < 0.5, where R is the triangular factor of
+    X V (|R_kk| is the norm of X V_k less its projection onto X V_0 .. X V_{k-1}).
+    Directions with sigma_k <= 1e-12 are not tested; they and every one from
+    the rank on are exact zeros in the returned singular values.  R is accumulated
+    over blocks of ``_QR_ROWS`` rows, so no n x p product is held, and no
+    left vector is built.  Callers read the memoized ``x._svd_parts``
+    instead of calling this again.
     """
     a = x.entries
-    p = a.shape[1]
+    n, p = a.shape
     dec = x.gram.eigen
     v = dec.vectors
     sigma = np.sqrt(np.maximum(dec.values, 0.0))
 
-    left: list[np.ndarray] = []
-    for k in range(p):
-        if sigma[k] <= SINGULAR_VALUE_CUTOFF:
-            break
-        u = a @ v[:, k]
-        u /= sigma[k]
-        for w in left:  # re-orthonormalize against previously kept vectors
-            u -= np.dot(w, u) * w
-        norm = float(np.linalg.norm(u))
-        if norm < 0.5:
-            # sigma[k] is eigensolver noise: the direction has no real mass.
-            break
-        u /= norm
-        u.flags.writeable = False
-        left.append(u)
+    k = int(np.count_nonzero(sigma > SINGULAR_VALUE_CUTOFF))
+    vk = v[:, :k]
+    r = np.empty((0, k))
+    for start in range(0, n, _QR_ROWS):
+        r = np.linalg.qr(np.vstack([r, a[start:start + _QR_ROWS] @ vk]), mode="r")
+    # A collapsed sigma_k is eigensolver noise: the direction has no real mass.
+    collapsed = np.flatnonzero(np.abs(np.diagonal(r)) / sigma[:k] < 0.5)
+    rank = int(collapsed[0]) if collapsed.size else k
 
-    r = len(left)
     sigma_out = np.zeros(p)
-    sigma_out[:r] = sigma[:r]
+    sigma_out[:rank] = sigma[:rank]
     sigma_out.flags.writeable = False
-    return sigma_out, tuple(left), v
+    return sigma_out, v
 
 
 def svd(x: SampleMatrix) -> SvdFactorization:
     """Singular value decomposition via the p x p Gram matrix.
 
-    Right vectors come from the symmetric eigensolver on X^T X (n > p, small
-    p); left vectors are X V_k / sigma_k, re-orthonormalized by one
-    Gram-Schmidt pass.  Directions whose singular value falls below 1e-12, or
-    whose recovered left vector collapses (the Gram route cannot resolve
-    singular values near sqrt(machine eps)), are reported as exact zeros and
-    their left vectors filled in by an orthonormal completion.
+    Singular values, right vectors and the rank are the design's memoized
+    Gram-route factors: right vectors come from the symmetric eigensolver on
+    X^T X (n > p, small p), and directions whose singular value falls below
+    1e-12, or whose X V_k collapses (the Gram route cannot resolve singular
+    values near sqrt(machine eps)), are reported as exact zeros.  Left vectors
+    exist only here: the Q of one reduced QR of X V_r / sigma_r, with column
+    signs making diag(R) positive (the Gram-Schmidt orthonormalization of
+    X V_k / sigma_k), followed by an orthonormal completion for the zeros.
     """
-    sigma, left, v = x._svd_parts
-    pad = _pad_orthonormal(list(left), x.n, x.p - len(left))
+    sigma, v = x._svd_parts
+    rank = int(np.count_nonzero(sigma))
+    q, r = np.linalg.qr(x.entries @ v[:, :rank] / sigma[:rank])
+    q *= np.sign(np.diagonal(r))
+    pad = _pad_orthonormal(list(q.T), x.n, x.p - rank)
     return SvdFactorization(
         singular_values=sigma,
-        left_vectors=np.column_stack([*left, *pad]),
+        left_vectors=np.column_stack([q, *pad]),
         right_vectors=v,
     )
 
@@ -438,16 +456,24 @@ def chisq_mixture_compare(x: SampleMatrix, trials: int, seed: int) -> float:
     trials are drawn.  Returns the two-sample KS statistic, computed in numpy
     by :func:`_ks_statistic` and equal to scipy's two-sample statistic,
     including its exact-mode rounding at 10000 trials or fewer; no pass/fail
-    judgement is made here.
+    judgement is made here.  Both samples are drawn in batches of ``_BATCH``
+    trials; memory is about 56 bytes per trial, whatever p is.
     """
     if trials < 1000:
         raise InvalidShapeError(f"need at least 1000 trials for a stable distance, got {trials}")
     rng_sim = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     rng_mix = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     sigma_sq = x.singular_values ** 2
-    sim = np.concatenate(list(_law_sum_sq_batches(sigma_sq, x.n, trials, rng_sim)))
-    xi = rng_mix.chisquare(1.0, size=(trials, sigma_sq.size))
-    mix = (xi @ sigma_sq) / (x.n - 1)
+    sim = np.empty(trials)
+    mix = np.empty(trials)
+    done = 0
+    for batch in _law_sum_sq_batches(sigma_sq, x.n, trials, rng_sim):
+        m = batch.size
+        sim[done:done + m] = batch
+        # Row-major draws: the same values as one (trials, p) draw.
+        mix[done:done + m] = rng_mix.chisquare(1.0, size=(m, sigma_sq.size)) @ sigma_sq
+        done += m
+    mix /= x.n - 1
     return _ks_statistic(sim, mix)
 
 

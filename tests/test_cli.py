@@ -140,6 +140,27 @@ def test_simulate_sphere_negative_seed_named(capsys, seed):
     assert f"--seed must be a non-negative integer, got {seed}" in err
 
 
+def test_simulate_sphere_trials_cap_exit_two_before_drawing(capsys, monkeypatch):
+    def no_draw(*_args):
+        raise AssertionError("a design was drawn for a request above the --trials cap")
+
+    monkeypatch.setattr(cli, "random_sample_matrix", no_draw)
+    over = cli.MAX_MIXTURE_TRIALS + 1
+    argv = ("simulate-sphere", "--n", "50", "--p", "3", "--trials", str(over), "--seed", "1")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"--trials must be at most {cli.MAX_MIXTURE_TRIALS}, got {over}" in err
+
+
+def test_simulate_sphere_trials_cap_is_inclusive(capsys, monkeypatch):
+    # a small stand-in cap, so both sides of it run quickly
+    monkeypatch.setattr(cli, "MAX_MIXTURE_TRIALS", 1000)
+    base = ("simulate-sphere", "--n", "50", "--p", "3", "--seed", "1")
+    assert run(capsys, *base, "--trials", "1000")[0] == 0
+    code, _, err = run(capsys, *base, "--trials", "1001")
+    assert code == 2 and "--trials must be at most 1000, got 1001" in err
+
+
 def test_aggregate_text_output(capsys):
     code, out, _ = run(capsys, "aggregate", "--count", "100", "--multiplier", "1.13")
     assert code == 0

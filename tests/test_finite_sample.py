@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,11 @@ from effectaudit import (
     sum_sq_corr,
     svd,
 )
+from effectaudit import finite_sample
 from effectaudit.finite_sample import (
+    _MIXTURE_BYTES_PER_TRIAL,
+    _QR_ROWS,
+    SINGULAR_VALUE_CUTOFF,
     _direct_sum_sq_batches,
     _gram_route,
     _ks_statistic,
@@ -164,6 +169,141 @@ def test_svd_duplicated_column_reports_exact_zero():
     assert np.max(np.abs(u.T @ u - np.eye(2))) < 1e-9
 
 
+def gram_schmidt_route(x: SampleMatrix) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The rank rule as a per-column Gram-Schmidt loop: the reference for the QR route.
+
+    Returns the singular values (exact zeros from the first collapsed
+    direction on) and the kept left vectors.
+    """
+    a = x.entries
+    dec = x.gram.eigen
+    sigma = np.sqrt(np.maximum(dec.values, 0.0))
+    left: list[np.ndarray] = []
+    for k in range(x.p):
+        if sigma[k] <= SINGULAR_VALUE_CUTOFF:
+            break
+        u = a @ dec.vectors[:, k]
+        u /= sigma[k]
+        for w in left:
+            u -= np.dot(w, u) * w
+        norm = float(np.linalg.norm(u))
+        if norm < 0.5:
+            break
+        left.append(u / norm)
+    out = np.zeros(x.p)
+    out[: len(left)] = sigma[: len(left)]
+    return out, left
+
+
+def near_singular_design(n: int, p: int, copies: int, noise: float, seed: int) -> SampleMatrix:
+    """Normal columns, the last ``copies`` of which repeat earlier ones plus ``noise``."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n, p))
+    for j in range(p - copies, p):
+        raw[:, j] = raw[:, int(rng.integers(0, j))] + noise * rng.standard_normal(n)
+    return SampleMatrix.from_raw(raw)
+
+
+@given(
+    n=st.integers(min_value=2, max_value=5000),
+    p=st.integers(min_value=1, max_value=12),
+    copies=st.integers(min_value=0, max_value=11),
+    log_noise=st.sampled_from([None, -17.0, -14.0, -12.0, -9.0, -7.0, -5.0]),
+    rows=st.sampled_from([1, 2, 3, 7, 64, _QR_ROWS]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_rank_rule_equals_the_gram_schmidt_loop(n, p, copies, log_noise, rows, seed):
+    # bit for bit, on designs that are rank-deficient by the loop, and for
+    # row blocks smaller than, equal to and larger than n
+    p = min(p, n - 1)
+    copies = min(copies, p - 1)
+    noise = 0.0 if log_noise is None else 10.0**log_noise
+    x = near_singular_design(n, p, copies, noise, seed)
+    with mock.patch.object(finite_sample, "_QR_ROWS", rows):
+        got = x.singular_values
+    assert np.array_equal(got, gram_schmidt_route(x)[0])
+
+
+BLOCK_DESIGNS = [
+    ("below", _QR_ROWS - 1, 6, 2),
+    ("equal", _QR_ROWS, 6, 2),
+    ("one_above", _QR_ROWS + 1, 6, 2),
+    ("multiple", 2 * _QR_ROWS, 6, 2),
+    ("p1", 50, 1, 0),
+    ("p1_two_blocks", _QR_ROWS + 1, 1, 0),
+]
+
+
+@pytest.mark.parametrize("name,n,p,copies", BLOCK_DESIGNS, ids=[d[0] for d in BLOCK_DESIGNS])
+@pytest.mark.parametrize("noise", [0.0, 1e-9, 1e-5])
+def test_rank_rule_at_row_block_boundaries(name, n, p, copies, noise):
+    x = near_singular_design(n, p, copies, noise, seed=n + p)
+    want, left = gram_schmidt_route(x)
+    assert np.array_equal(x.singular_values, want)
+    if noise == 1e-9:  # exact copies up to rounding: the loop drops them
+        assert len(left) == p - copies
+
+
+@pytest.mark.parametrize("n", [12, _QR_ROWS + 1])
+@pytest.mark.parametrize("p", [2, 5])
+def test_rank_rule_every_column_duplicated(n, p):
+    col = standardize(np.random.default_rng(n * p).standard_normal(n)).values
+    x = SampleMatrix(np.column_stack([col] * p))
+    sv = x.singular_values
+    assert np.array_equal(sv, gram_schmidt_route(x)[0])
+    assert sv[0] == pytest.approx(math.sqrt(p), abs=1e-12)
+    assert np.all(sv[1:] == 0.0)
+
+
+SVD_DESIGNS = [
+    ("full_rank", 40, 5, 0, 0.0),
+    ("full_rank_blocks", _QR_ROWS + 7, 5, 0, 0.0),
+    ("duplicated", 40, 5, 2, 0.0),
+    ("near_duplicated", 300, 6, 3, 1e-10),
+    ("resolved_near_duplicate", 300, 4, 1, 1e-5),
+    ("p1", 9, 1, 0, 0.0),
+]
+
+
+@pytest.mark.parametrize(
+    "name,n,p,copies,noise", SVD_DESIGNS, ids=[d[0] for d in SVD_DESIGNS]
+)
+def test_svd_left_vectors_orthonormal_standardized_and_reconstructing(name, n, p, copies, noise):
+    x = near_singular_design(n, p, copies, noise, seed=p * 101 + copies)
+    f = svd(x)
+    u, s, v = f.left_vectors, f.singular_values, f.right_vectors
+    assert np.array_equal(s, gram_schmidt_route(x)[0])
+    assert np.max(np.abs(u.T @ u - np.eye(p))) < 1e-9
+    assert np.max(np.abs(u.mean(axis=0))) < 1e-10
+    assert np.max(np.abs(np.linalg.norm(u, axis=0) - 1.0)) < 1e-10
+    assert np.max(np.abs((u * s) @ v.T - x.entries)) < 1e-7
+
+
+def test_svd_left_vectors_match_the_gram_schmidt_loop():
+    # kept left vectors keep the loop's signs: U_k . X V_k > 0
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        n = int(rng.integers(4, 60))
+        x = random_sample_matrix(n, int(rng.integers(1, min(n, 9))), rng)
+        _, left = gram_schmidt_route(x)
+        u = svd(x).left_vectors
+        assert np.max(np.abs(u[:, : len(left)] - np.column_stack(left))) < 1e-9
+
+
+def test_singular_values_memory_is_one_row_block():
+    # the rank rule holds no n x p array: the loop kept 24 MB of left vectors here
+    x = random_sample_matrix(10**6, 3, np.random.default_rng(909))
+    tracemalloc.start()
+    try:
+        sv = x.singular_values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert float(np.sum(sv**2)) == pytest.approx(3.0, abs=1e-8)
+
+
 def test_sum_sq_corr_dual_route_and_spectral_cap():
     rng = np.random.default_rng(19)
     for _ in range(100):
@@ -285,6 +425,39 @@ def test_chisq_mixture_compare_deterministic_and_small():
     assert 0.0 <= d1 < 0.05  # large-n regime: the mixture is a close fit
     with pytest.raises(InvalidShapeError):
         chisq_mixture_compare(x, trials=10, seed=0)
+
+
+@pytest.mark.parametrize("p", [1, 3, 7, 50])
+@pytest.mark.parametrize("trials", [1000, 4096, 12345])
+def test_chisq_mixture_compare_streams_the_one_shot_draws(p, trials, monkeypatch):
+    # the batched mixture equals one (trials, p) draw bit for bit
+    x = random_sample_matrix(60, p, np.random.default_rng(p))
+    seen = []
+    monkeypatch.setattr(finite_sample, "_ks_statistic", lambda a, b: seen.append((a, b)) or 0.0)
+    chisq_mixture_compare(x, trials, seed=21)
+    (sim, mix), = seen
+    sigma_sq = x.singular_values ** 2
+    rng_sim = np.random.default_rng(np.random.SeedSequence(21, spawn_key=(0,)))
+    rng_mix = np.random.default_rng(np.random.SeedSequence(21, spawn_key=(1,)))
+    one_sim = np.concatenate(list(_law_sum_sq_batches(sigma_sq, x.n, trials, rng_sim)))
+    one_mix = (rng_mix.chisquare(1.0, size=(trials, p)) @ sigma_sq) / (x.n - 1)
+    assert np.array_equal(sim, one_sim)
+    assert np.array_equal(mix, one_mix)
+
+
+def test_chisq_mixture_compare_memory_per_trial_is_bounded():
+    # the bytes per trial behind simulate-sphere's --trials cap, at p = 50;
+    # one (trials, p) mixture draw held about 457 bytes per trial here
+    x = random_sample_matrix(60, 50, np.random.default_rng(50))
+    trials = 10**5
+    x.singular_values
+    tracemalloc.start()
+    try:
+        chisq_mixture_compare(x, trials, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _MIXTURE_BYTES_PER_TRIAL * trials, f"{peak / trials:.1f} bytes per trial"
 
 
 def _duplicated_column_design(n: int, rng: np.random.Generator) -> SampleMatrix:
