@@ -30,11 +30,12 @@ from .finite_sample import (
     expected_sum_sq,
     expected_sum_sq_mc,
     random_sample_matrix,
-    svd,
+    svd,  # not called here; benchmarks/spans.py wraps the name where cli binds it
 )
 from .info_bounds import mi_piranha_check
 from .linear_bounds import ClaimSet, tightness_instance
 from .pipeline import (
+    MAX_CLAIMS,
     AuditConfig,
     audit_claims,
     audit_dataset,
@@ -155,6 +156,9 @@ def _cmd_check_claims(args: argparse.Namespace) -> tuple[DiagnosticReport, int]:
             raise EffectAuditError("need --tau and --p when no --claims file is given")
         if args.p < 1:
             raise EffectAuditError(f"--p must be at least 1, got {args.p}")
+        if args.p > MAX_CLAIMS:
+            # Every claim is held and reported; refuse before allocating any.
+            raise EffectAuditError(f"--p must be at most {MAX_CLAIMS}, got {args.p}")
         claims = ClaimSet(tau=np.full(args.p, args.tau))
         file_eps = None
     if args.cross is not None:
@@ -177,13 +181,13 @@ def _cmd_simulate_sphere(args: argparse.Namespace) -> tuple[DiagnosticReport, in
     x = random_sample_matrix(args.n, args.p, np.random.default_rng(seed_matrix))
     mc = expected_sum_sq_mc(x, args.trials, seed_mc)
     ks = chisq_mixture_compare(x, args.trials, seed_ks)
-    fac = svd(x)
+    sv = x.singular_values
     section = SphereSection(
         n=args.n,
         p=args.p,
         trials=args.trials,
-        singular_values=[float(v) for v in fac.singular_values],
-        sigma1_sq=fac.sigma1_sq,
+        singular_values=[float(v) for v in sv],
+        sigma1_sq=float(sv[0] ** 2),
         expected_sum_sq=expected_sum_sq(args.n, args.p),
         mc=mc,
         ks_distance=ks,

@@ -74,12 +74,13 @@ _QR_ROWS = 2048
 # full n-vector per trial; its row count shrinks as n grows.
 _DIRECT_BATCH_BYTES = 16 * 2**20
 
-# Memory one chisq_mixture_compare call may hold, and what it holds per trial
-# (tracemalloc peak over trials: 57 bytes at 10^5 trials and p = 50, 56 at
-# 10^6, whatever p is).  simulate-sphere refuses more trials than fit.
-_MIXTURE_MEMORY_BUDGET = 2**30
+# Memory one request may hold where it grows with an option, and what one
+# chisq_mixture_compare call holds per trial (tracemalloc peak over trials:
+# 57 bytes at 10^5 trials and p = 50, 56 at 10^6, whatever p is).
+# simulate-sphere refuses more trials than fit.
+MEMORY_BUDGET = 2**30
 _MIXTURE_BYTES_PER_TRIAL = 64
-MAX_MIXTURE_TRIALS = _MIXTURE_MEMORY_BUDGET // _MIXTURE_BYTES_PER_TRIAL
+MAX_MIXTURE_TRIALS = MEMORY_BUDGET // _MIXTURE_BYTES_PER_TRIAL
 
 # Largest sample for which scipy's ks_2samp (method "auto") computes the
 # exact p-value, rounding the statistic to a multiple of 1/lcm(n1, n2).

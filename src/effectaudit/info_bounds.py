@@ -79,19 +79,9 @@ def _bad_prob(atom: Sequence, prob: float) -> InvalidJointError:
     return InvalidJointError(f"{kind} probability {prob!r} at {tuple(atom)!r}")
 
 
-def _atom_table(sizes: tuple[int, ...], atoms: Sequence, probs: Sequence) -> np.ndarray:
-    """Validate atoms (index sequences) and their probabilities, then scatter
-    them into a dense table.
-
-    Every check is vectorized; only an error walks the atoms in Python, to
-    name the first offender.
-    """
+def _index_array(sizes: tuple[int, ...], atoms: Sequence) -> np.ndarray:
+    """Atoms given as index sequences, checked for arity and converted once."""
     n, k = len(atoms), len(sizes)
-    if len(probs) != n:
-        raise InvalidJointError(f"{n} atoms but {len(probs)} probabilities")
-    table = np.zeros(sizes)
-    if n == 0:
-        return table
     try:
         arity = np.fromiter(map(len, atoms), np.intp, count=n)
     except TypeError:
@@ -106,10 +96,31 @@ def _atom_table(sizes: tuple[int, ...], atoms: Sequence, probs: Sequence) -> np.
     idx = np.array(atoms)
     if idx.ndim != 2 or idx.dtype.kind not in "iub":
         raise _bad_index(sizes, atoms)
+    return idx
+
+
+def _atom_table(sizes: tuple[int, ...], atoms: Sequence, probs: Sequence) -> np.ndarray:
+    """Validate atoms and their probabilities, then scatter them into a dense table.
+
+    An integer array of shape (n, k) is taken as the atoms directly; any
+    other atoms (index sequences) are converted once by :func:`_index_array`.
+    Every check is vectorized; only an error walks the atoms in Python, to
+    name the first offender.
+    """
+    if isinstance(atoms, np.ndarray) and not (
+        atoms.ndim == 2 and atoms.shape[1] == len(sizes) and atoms.dtype.kind in "iu"
+    ):
+        atoms = atoms.tolist()
+    n = len(atoms)
+    if len(probs) != n:
+        raise InvalidJointError(f"{n} atoms but {len(probs)} probabilities")
+    table = np.zeros(sizes)
+    if n == 0:
+        return table
+    idx = atoms if isinstance(atoms, np.ndarray) else _index_array(sizes, atoms)
     if not ((idx >= 0) & (idx < np.array(sizes))).all():
-        raise _bad_index(sizes, atoms)
-    idx = idx.astype(np.intp, copy=False)
-    flat = np.ravel_multi_index(tuple(idx.T), sizes)
+        raise _bad_index(sizes, idx.tolist() if idx is atoms else atoms)
+    flat = np.ravel_multi_index(tuple(idx.astype(np.intp, copy=False).T), sizes)
     if np.bincount(flat, minlength=table.size).max() > 1:
         seen: set[int] = set()
         for pos, cell in enumerate(flat.tolist()):
@@ -121,7 +132,7 @@ def _atom_table(sizes: tuple[int, ...], atoms: Sequence, probs: Sequence) -> np.
     except (TypeError, ValueError):
         p = None
     if p is None or p.shape != (n,):
-        for atom, prob in zip(atoms, probs):
+        for atom, prob in zip(idx.tolist() if idx is atoms else atoms, probs):
             try:
                 float(prob)
             except (TypeError, ValueError):
@@ -143,7 +154,9 @@ class DiscreteJoint:
     ``table`` (shape ``alphabet_sizes``, read-only) is the only state; every
     entropy is an exact marginalization of it.  Build it from a mapping of
     index tuples to probabilities (``pmf=``), from parallel ``atoms=`` and
-    ``probs=`` sequences, or from a dense array with :meth:`from_table`.
+    ``probs=`` sequences (an ``(n, k)`` integer array and an ``(n,)`` float
+    array are read without conversion), or from a dense array with
+    :meth:`from_table`.
     Omitted atoms have probability zero.  Indices must be integers within the
     alphabet, probabilities finite and non-negative, and the total mass 1.
     """

@@ -31,6 +31,7 @@ from .errors import (
     UnknownColumnError,
 )
 from .finite_sample import (
+    MEMORY_BUDGET,
     SampleMatrix,
     expected_sum_sq,
     expected_sum_sq_mc,
@@ -64,6 +65,13 @@ from .report import (
 )
 
 MIN_ROWS = 3
+
+# What a check-claims request holds per claim, from the claim vector through
+# the rendered report (tracemalloc peak over claims at 10^4 and 10^5 claims:
+# 112 bytes at tau = 0.5 and 152 at a 23-character tau, as JSON; 40 as
+# text).  check-claims refuses more claims than fit in MEMORY_BUDGET.
+_CLAIM_BYTES = 256
+MAX_CLAIMS = MEMORY_BUDGET // _CLAIM_BYTES
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,10 +285,160 @@ def _is_json_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+# The compact atoms layout, as json.dumps(obj, separators=(",", ":")) writes it:
+# "atoms":[{"tuple":[i,...],"prob":x},...].
+_ATOMS_OPEN = b'"atoms":['
+_ATOM_OPEN = b'{"tuple":['
+_JOINT_KEYS = {"alphabet_sizes", "outcome_index", "atoms"}
+# Below this file size json.loads is faster than the compact reader, whose
+# fixed cost is about 0.1 ms.  On a 2-vCPU Xeon (numpy 2.4) the two took the
+# same time at 1.3-2.2 kB (k = 2..5; a 181-byte 2x2 joint: 0.10 against
+# 0.07 ms; 4.6 kB: 0.22 against 0.30 ms).
+_COMPACT_MIN_BYTES = 2048
+
+# Byte classes of the atoms text once its punctuation is replaced by
+# separators: 0 the digit '0', 1 the digits 1-9, 2 a separator (',', '|' or
+# newline), 3 '.', 4 'e', 5 '-', 6 anything else.
+_ZERO, _DIGIT, _SEP, _DOT, _EXP, _MINUS, _OTHER = range(7)
+_BYTE_CLASS = bytes(
+    _ZERO if b == ord("0") else _DIGIT if b in b"123456789" else _SEP if b in b",|\n"
+    else _DOT if b == ord(".") else _EXP if b == ord("e") else _MINUS if b == ord("-")
+    else _OTHER
+    for b in range(256)
+)
+_NOT_SEP = bytes(b for b in range(256) if b not in b",|\n")
+_NEWLINE_AS_COMMA_E_AS_DOT = bytes.maketrans(b"\ne", b",.")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A ``json.loads`` object hook that rejects a key given twice (``json.loads`` keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("duplicate key")
+    return obj
+
+
+def _is_json_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _compact_atoms(body: bytes, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Read ``{"tuple":[i,...],"prob":x},...`` (k indices per tuple) into an
+    (n, k) int64 array and an (n,) float array, or None when the text is not
+    exactly that with every number in JSON's grammar.
+
+    Each atom becomes one line ``i,...|x``, and every line must hold k - 1
+    commas, then '|' (so a probability holds no comma).  Byte tests accept
+    only digits, separators, '.', 'e' and '-'; the text ends in a digit, two
+    non-digits neighbour each other only after an 'e', '-' follows only 'e',
+    no number starts with '0' and another digit, and '.' and 'e' appear only
+    after a line's '|'.  numpy's C reader then rejects what the bytes alone
+    allow but JSON does not (a second '.' or 'e', an 'e' without digits) and
+    indices beyond int64.  So every number is JSON's, with no sign outside an
+    exponent (JSON -0 is the integer 0, where a float reader gives -0.0), and
+    the reader's float conversion is the one ``float`` uses, as
+    ``_parse_body`` relies on.
+    """
+    text = body.replace(b'},{"tuple":[', b"\n").replace(b'],"prob":', b"|")
+    # With the digits deleted, a '.' or 'e' in an index is the first byte or
+    # follows a ',' or newline; in a probability it follows the '|'.
+    marks = text.translate(None, b"0123456789")
+    merged = marks.translate(_NEWLINE_AS_COMMA_E_AS_DOT)
+    if merged[:1] == b"." or b",." in merged:
+        return None
+    seps = marks.translate(None, _NOT_SEP) + b"\n"
+    n, rest = divmod(len(seps), k + 1)
+    if rest or seps != (b"," * (k - 1) + b"|\n") * n:
+        return None
+    cls = text.translate(_BYTE_CLASS)
+    if bytes([_OTHER]) in cls:
+        return None
+    c = np.frombuffer(cls, np.uint8)
+    non_digit = c >= _SEP
+    both = np.flatnonzero(non_digit[:-1] & non_digit[1:])
+    if (
+        non_digit[-1]
+        or (c[both] != _EXP).any()
+        or np.count_nonzero(c == _MINUS) != np.count_nonzero(c[both + 1] == _MINUS)
+        or (c[0] == _ZERO and c[1] <= _DIGIT)
+        or ((c[:-2] == _SEP) & (c[1:-1] == _ZERO) & (c[2:] <= _DIGIT)).any()
+    ):
+        return None
+    lines = text.replace(b"|", b",").decode("ascii").split("\n")
+    # Any warning from the reader (older numpy warned, then truncated, on
+    # a float in an integer field) sends the file to json.loads instead.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                              dtype=[("t", np.int64, (k,)), ("p", float)])
+    except (ValueError, Warning):
+        return None
+    return rows["t"], rows["p"]
+
+
+def _read_compact_joint(
+    path: str | os.PathLike,
+) -> tuple[list, int, np.ndarray, np.ndarray] | None:
+    """(alphabet sizes, outcome index, atom indices, probabilities) of a joint
+    file in the compact layout, or None for any other file.
+
+    Only files of at least ``_COMPACT_MIN_BYTES`` are read.  The atoms array
+    runs from the first ``"atoms":[{"tuple":[`` to the last ``}]``;
+    everything outside it must be ASCII without a backslash, and is parsed
+    by ``json.loads`` with the array replaced by ``[]``.  It must hold
+    exactly the three keys, once each, with ``alphabet_sizes`` an array of
+    integers and ``outcome_index`` an integer, so that the replaced array can
+    only be the top-level ``atoms`` (a second ``"atoms":[{"tuple":[`` cannot
+    hide there, and within the array it fails the byte tests).
+    """
+    try:
+        if os.stat(path).st_size < _COMPACT_MIN_BYTES:
+            return None
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    head = data.find(_ATOMS_OPEN + _ATOM_OPEN)
+    end = data.rfind(b"}]") + 1
+    if head < 0 or end <= head:
+        return None
+    start = head + len(_ATOMS_OPEN)
+    outer = data[:start] + data[end:]
+    if b"\\" in outer:
+        return None
+    try:
+        raw = json.loads(outer.decode("ascii"), object_pairs_hook=_unique_keys)
+    except ValueError:
+        return None
+    if not (isinstance(raw, dict) and raw.keys() == _JOINT_KEYS and raw["atoms"] == []):
+        return None
+    sizes, outcome = raw["alphabet_sizes"], raw["outcome_index"]
+    if not (isinstance(sizes, list) and sizes and all(map(_is_json_int, sizes))
+            and _is_json_int(outcome)):
+        return None
+    atoms = _compact_atoms(data[start + len(_ATOM_OPEN):end - 1], len(sizes))
+    return None if atoms is None else (sizes, outcome, *atoms)
+
+
 def load_joint_json(path: str | os.PathLike) -> tuple[DiscreteJoint, int]:
-    """Read a joint pmf file: alphabet_sizes, outcome_index, atoms [{tuple, prob}]."""
+    """Read a joint pmf file: alphabet_sizes, outcome_index, atoms [{tuple, prob}].
+
+    A file in the compact layout is read by ``_read_compact_joint``; every
+    other file, and a compact one whose joint is invalid, through ``json.loads``,
+    which gives the same joint or raises the error.  JSON booleans are
+    rejected wherever an integer or number is expected.
+    """
+    compact = _read_compact_joint(path)
+    if compact is not None:
+        sizes, outcome, idx, probs = compact
+        try:
+            return DiscreteJoint(sizes, atoms=idx, probs=probs), outcome
+        except InvalidJointError:
+            pass
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        text = fh.read()
+    raw = json.loads(text)
     for key in ("alphabet_sizes", "outcome_index", "atoms"):
         if not isinstance(raw, dict) or key not in raw:
             raise InvalidJointError(f"joint pmf file is missing {key!r}")
@@ -289,11 +447,36 @@ def load_joint_json(path: str | os.PathLike) -> tuple[DiscreteJoint, int]:
         probs = [atom["prob"] for atom in raw["atoms"]]
     except (KeyError, TypeError):
         raise InvalidJointError("each atom needs 'tuple' and 'prob'") from None
+    # A JSON true or false is spelled out in the text, so only then walk the atoms.
+    if "true" in text or "false" in text:
+        _reject_booleans(raw["alphabet_sizes"], atoms, probs)
     joint = DiscreteJoint(raw["alphabet_sizes"], atoms=atoms, probs=probs)
     outcome = raw["outcome_index"]
-    if not isinstance(outcome, int):
+    if not _is_json_int(outcome):
         raise InvalidJointError(f"outcome_index must be an integer, got {outcome!r}")
     return joint, outcome
+
+
+def _reject_booleans(sizes: object, atoms: list, probs: list) -> None:
+    """Raise on a JSON true or false among the sizes, indices or probabilities.
+
+    Python reads them as bools, which numpy would take for 1 and 0.
+    """
+    if isinstance(sizes, list):
+        for i, size in enumerate(sizes):
+            if isinstance(size, bool):
+                raise InvalidJointError(
+                    f"alphabet_sizes[{i}] must be an integer, got {json.dumps(size)}"
+                )
+    for j, (atom, prob) in enumerate(zip(atoms, probs)):
+        if isinstance(atom, list) and any(isinstance(i, bool) for i in atom):
+            raise InvalidJointError(
+                f"atoms[{j}] 'tuple' must hold integers, got {json.dumps(atom)}"
+            )
+        if isinstance(prob, bool):
+            raise InvalidJointError(
+                f"atoms[{j}] 'prob' must be a number, got {json.dumps(prob)}"
+            )
 
 
 def _resolve_outcome(ds: Dataset, outcome: str | int) -> int:

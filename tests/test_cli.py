@@ -5,11 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
-from effectaudit import cli, parse_report
+from effectaudit import cli, parse_report, pipeline
 from effectaudit.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -159,6 +160,47 @@ def test_simulate_sphere_trials_cap_is_inclusive(capsys, monkeypatch):
     assert run(capsys, *base, "--trials", "1000")[0] == 0
     code, _, err = run(capsys, *base, "--trials", "1001")
     assert code == 2 and "--trials must be at most 1000, got 1001" in err
+
+
+def test_check_claims_p_cap_exit_two_before_allocating(capsys):
+    over = cli.MAX_CLAIMS + 1
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "check-claims", "--tau", "0.5", "--p", str(over))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert f"--p must be at most {cli.MAX_CLAIMS}, got {over}" in err
+    # the claim vector alone would be 8 bytes per claim
+    assert peak < 2**20, f"{peak} bytes held before refusing"
+
+
+def test_check_claims_p_cap_is_inclusive(capsys, monkeypatch):
+    # a small stand-in cap, so both sides of it run quickly
+    monkeypatch.setattr(cli, "MAX_CLAIMS", 50)
+    assert run(capsys, "check-claims", "--tau", "0.1", "--p", "50")[0] == 0
+    code, _, err = run(capsys, "check-claims", "--tau", "0.1", "--p", "51")
+    assert code == 2 and "--p must be at most 50, got 51" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_check_claims_memory_per_claim_is_bounded(capsys, fmt):
+    # the bytes per claim behind the --p cap, with the longest repr a tau in
+    # [0, 1] can have (23 characters)
+    claims = 20000
+    argv = ("check-claims", "--tau", "1.2345678901234567e-100", "--p", str(claims),
+            "--eps", "0.01", "--format", fmt)
+    assert run(capsys, *argv)[0] == 0
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < pipeline._CLAIM_BYTES * claims, f"{peak / claims:.1f} bytes per claim"
 
 
 def test_aggregate_text_output(capsys):

@@ -94,6 +94,36 @@ def test_joint_faults_rejected_by_every_constructor(fault, tmp_path):
         load_joint_json(path)
 
 
+ARRAY_FAULTS = ["range", "negative index", "duplicate", "negative", "nan", "inf", "mass"]
+
+
+@pytest.mark.parametrize("fault", ARRAY_FAULTS)
+def test_joint_faults_from_arrays_raise_what_lists_raise(fault):
+    sizes, atoms, probs, _ = JOINT_FAULTS[fault]
+    with pytest.raises(InvalidJointError) as from_lists:
+        DiscreteJoint(alphabet_sizes=sizes, atoms=atoms, probs=probs)
+    with pytest.raises(InvalidJointError) as from_arrays:
+        DiscreteJoint(alphabet_sizes=sizes, atoms=np.array(atoms), probs=np.array(probs))
+    assert str(from_arrays.value) == str(from_lists.value)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_joint_from_arrays_equals_joint_from_lists(dtype):
+    rng = np.random.default_rng(12)
+    sizes = (3, 4, 2, 5)
+    cells = rng.permutation(np.argwhere(rng.random(sizes) < 0.7))
+    probs = rng.random(len(cells))
+    probs /= probs.sum()
+    from_lists = DiscreteJoint(alphabet_sizes=sizes, atoms=cells.tolist(), probs=probs.tolist())
+    from_arrays = DiscreteJoint(alphabet_sizes=sizes, atoms=cells.astype(dtype), probs=probs)
+    assert from_arrays.table.tobytes() == from_lists.table.tobytes()
+    # an array of another shape or kind is read as the sequences it holds
+    with pytest.raises(InvalidJointError, match="arity 3, expected 4"):
+        DiscreteJoint(alphabet_sizes=sizes, atoms=cells[:, :3], probs=probs)
+    with pytest.raises(InvalidJointError, match=r"\(0.0, 0.0, 0.0, 0.0\) has a non-integer"):
+        DiscreteJoint(alphabet_sizes=sizes, atoms=np.zeros((1, 4)), probs=[1.0])
+
+
 @pytest.mark.parametrize("sizes", [(), (2, 0), (2.0, 2), "ab"])
 def test_joint_rejects_bad_alphabet_sizes(sizes):
     with pytest.raises(InvalidJointError, match="bad alphabet sizes"):

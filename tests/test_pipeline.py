@@ -1,5 +1,6 @@
 """CSV/JSON loading, dataset audits, claims audits, and report round-trips."""
 
+import itertools
 import json
 import math
 import os
@@ -38,7 +39,7 @@ from effectaudit.report import (
     SphereSection,
     TightnessSection,
 )
-from effectaudit import __version__
+from effectaudit import __version__, pipeline
 from effectaudit.cli import main
 from effectaudit.errors import (
     ConstantColumnError,
@@ -415,6 +416,291 @@ def test_load_joint_json_rejects_malformed_atoms(tmp_path):
                                     "atoms": [{"tuple": [0], "prob": 1.0}]}))
         with pytest.raises(InvalidJointError, match="outcome_index must be an integer"):
             load_joint_json(path)
+
+
+@pytest.mark.parametrize("content,message", [
+    ({"alphabet_sizes": [2, 2], "outcome_index": True,
+      "atoms": [{"tuple": [0, 0], "prob": 0.5}, {"tuple": [1, 1], "prob": 0.5}]},
+     "outcome_index must be an integer, got True"),
+    ({"alphabet_sizes": [2, 2], "outcome_index": False,
+      "atoms": [{"tuple": [0, 0], "prob": 0.5}, {"tuple": [1, 1], "prob": 0.5}]},
+     "outcome_index must be an integer, got False"),
+    ({"alphabet_sizes": [2, 2], "outcome_index": 1,
+      "atoms": [{"tuple": [0, 0], "prob": 0.5}, {"tuple": [True, 0], "prob": 0.5}]},
+     "atoms[1] 'tuple' must hold integers, got [true, 0]"),
+    ({"alphabet_sizes": [2, 2], "outcome_index": 1,
+      "atoms": [{"tuple": [0, False], "prob": 0.5}, {"tuple": [1, 1], "prob": 0.5}]},
+     "atoms[0] 'tuple' must hold integers, got [0, false]"),
+    ({"alphabet_sizes": [2, 2], "outcome_index": 1,
+      "atoms": [{"tuple": [0, 0], "prob": 0}, {"tuple": [1, 1], "prob": True}]},
+     "atoms[1] 'prob' must be a number, got true"),
+    ({"alphabet_sizes": [True, 2], "outcome_index": 1,
+      "atoms": [{"tuple": [0, 0], "prob": 0.5}, {"tuple": [0, 1], "prob": 0.5}]},
+     "alphabet_sizes[0] must be an integer, got true"),
+], ids=["outcome-true", "outcome-false", "tuple", "tuple-false", "prob", "alphabet-size"])
+def test_joint_json_booleans_exit_two(tmp_path, capsys, content, message):
+    # each of these files was read as a valid joint, a boolean taken for 1 or 0
+    path = tmp_path / "joint.json"
+    path.write_text(json.dumps(content))
+    code = main(["mi-check", str(path), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def compact_joint_text(sizes, outcome, cells, probs, key_order=None) -> str:
+    """A joint file in the compact layout; ``probs`` are already spelled."""
+    atoms = ",".join('{"tuple":[%s],"prob":%s}' % (",".join(map(str, c)), p)
+                     for c, p in zip(cells, probs))
+    values = {"alphabet_sizes": "[%s]" % ",".join(map(str, sizes)),
+              "outcome_index": str(outcome), "atoms": "[%s]" % atoms}
+    keys = key_order or ("alphabet_sizes", "outcome_index", "atoms")
+    return "{%s}" % ",".join('"%s":%s' % (key, values[key]) for key in keys)
+
+
+def joint_outcome(path):
+    """The table bytes and outcome load_joint_json gives, or its error's type and message."""
+    try:
+        joint, outcome = load_joint_json(path)
+    except Exception as exc:  # every kind the CLI reports with exit 2
+        return type(exc), str(exc)
+    return joint.alphabet_sizes, joint.table.tobytes(), outcome
+
+
+def json_loads_outcome(path):
+    """joint_outcome through the json.loads route alone."""
+    with mock.patch.object(pipeline, "_read_compact_joint", return_value=None):
+        return joint_outcome(path)
+
+
+PROB_SPELLINGS = [
+    repr,
+    "{:.17g}".format,
+    lambda p: "{:.6e}".format(p).replace("e+", "e"),  # 2.500000e-01, 1.000000e00
+    "{:.3f}".format,
+    "{:.0f}".format,
+]
+
+
+@st.composite
+def compact_joints(draw):
+    """Compact joint files: k = 1..6 variables of 1..4 values, dense or sparse,
+    atoms in random order, probabilities spelled as repr or in fixed,
+    exponent or integer notation (which may miss the mass tolerance)."""
+    k = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = np.array(list(itertools.product(*map(range, sizes))))
+    keep = rng.random(len(cells)) < draw(st.sampled_from([1.0, 0.5, 0.05]))
+    keep[rng.integers(len(cells))] = True
+    cells = rng.permutation(cells[keep])
+    weights = rng.integers(0, 1000, len(cells)) * (rng.random(len(cells)) < 0.9)
+    weights[0] += 1
+    spell = draw(st.sampled_from(PROB_SPELLINGS))
+    probs = [spell(float(p)) for p in weights / weights.sum()]
+    order = draw(st.permutations(["alphabet_sizes", "outcome_index", "atoms"]))
+    return compact_joint_text(sizes, draw(st.integers(0, k - 1)), cells.tolist(), probs, order)
+
+
+# Bytes and spellings a mutation inserts: JSON the compact reader must leave
+# to json.loads, and text that is not JSON at all.
+MUTATION_SNIPPETS = [
+    "-", "+", "E", "e", ".", "0", "7", ",", " ", "\n", "\t", "\r", '"', "\\", "[", "]", "{", "}",
+    ":", "|", "-0", "01", "00", ".5", "5.", "5.e3", "1e400", "1e-400", "9" * 20, "1" * 400,
+    "true", "false", "null", "nan", "NaN", "Infinity", "inf", "\u00e9", "\ufeff",
+    ',"x":1', '{"tuple":[0],"prob":0},', '"atoms":[{"tuple":[0],"prob":1}]',
+]
+
+
+def mutate(text: str, data) -> str:
+    """Insert a snippet, overwrite a stretch, or delete a stretch at a random point."""
+    kind = data.draw(st.sampled_from(["insert", "replace", "delete"]))
+    at = data.draw(st.integers(0, len(text) - 1))
+    width = data.draw(st.integers(1, 3))
+    if kind == "delete":
+        return text[:at] + text[at + width:]
+    snippet = data.draw(st.sampled_from(MUTATION_SNIPPETS))
+    return text[:at] + snippet + text[at + (width if kind == "replace" else 0):]
+
+
+@settings(max_examples=300, deadline=None)
+@given(compact_joints(), st.integers(0, 2), st.data())
+def test_compact_reader_equals_the_json_loads_route(tmp_path_factory, text, mutations, data):
+    for _ in range(mutations):
+        text = mutate(text, data)
+    path = tmp_path_factory.mktemp("joint") / "joint.json"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(pipeline, "_COMPACT_MIN_BYTES", 0):
+        if mutations == 0:
+            assert pipeline._read_compact_joint(path) is not None
+        assert joint_outcome(path) == json_loads_outcome(path)
+
+
+BASE_SIZES = (2, 3)
+BASE_CELLS = [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]]
+BASE_PROBS = ["0.25", "0.25", "0.125", "0.125", "0.25", "0"]
+BASE_TEXT = compact_joint_text(BASE_SIZES, 1, BASE_CELLS, BASE_PROBS)
+
+
+def with_prob(spelling: str, at: int = 5) -> str:
+    probs = list(BASE_PROBS)
+    probs[at] = spelling
+    return compact_joint_text(BASE_SIZES, 1, BASE_CELLS, probs)
+
+
+# Files the compact reader must leave to json.loads, one for each way its
+# byte tests could otherwise read them differently.
+NOT_COMPACT = {
+    "utf8-bom": b"\xef\xbb\xbf" + BASE_TEXT.encode(),
+    "utf16": BASE_TEXT.encode("utf-16"),
+    "utf16-le-no-bom": BASE_TEXT.encode("utf-16-le"),
+    "minus-zero-prob": with_prob("-0"),
+    "minus-zero-float-prob": with_prob("-0.0"),
+    "minus-zero-index": BASE_TEXT.replace('"tuple":[1,2]', '"tuple":[-0,2]'),
+    "minus-zero-first-index": BASE_TEXT.replace('"tuple":[0,0]', '"tuple":[-0,0]'),
+    "negative-prob": with_prob("-0.25", at=0),
+    "leading-zero-index": BASE_TEXT.replace('"tuple":[1,2]', '"tuple":[01,2]'),
+    "leading-zero-first-index": BASE_TEXT.replace('"tuple":[0,0]', '"tuple":[00,0]'),
+    "leading-zero-prob": with_prob("00.25", at=0),
+    "leading-zeros-prob": with_prob("00", at=5),
+    "dot-first": with_prob(".25", at=0),
+    "dot-last": with_prob("0.", at=5),
+    "dot-before-exponent": with_prob("2.e-1", at=0),
+    "plus-sign": with_prob("+0.25", at=0),
+    "plus-exponent": with_prob("2.5e+1", at=0),
+    "capital-exponent": with_prob("2.5E-1", at=0),
+    "capital-exponent-no-sign": compact_joint_text(BASE_SIZES, 1, [[1, 1]], ["1E0"]),
+    "space": with_prob(" 0.25", at=0),
+    "newline": with_prob("0.25\n", at=0),
+    "true": with_prob("true"),
+    "nan": with_prob("NaN"),
+    "infinity": with_prob("Infinity"),
+    "comma-in-prob": BASE_TEXT.replace('"tuple":[1,2],"prob":0', '"tuple":[1],"prob":2,0'),
+    "short-tuple": BASE_TEXT.replace('"tuple":[1,2]', '"tuple":[1]'),
+    "long-tuple": BASE_TEXT.replace('"tuple":[1,2]', '"tuple":[1,2,0]'),
+    "empty-index": BASE_TEXT.replace('"tuple":[1,2]', '"tuple":[,2]'),
+    "fraction-index": BASE_TEXT.replace('"tuple":[1,2]', '"tuple":[1.0,2]'),
+    "exponent-index": BASE_TEXT.replace('"tuple":[1,2]', '"tuple":[1e0,2]'),
+    "fraction-first-index": BASE_TEXT.replace('"tuple":[0,0]', '"tuple":[0.0,0]'),
+    "exponent-last-index": BASE_TEXT.replace('"tuple":[1,2]', '"tuple":[1,2e0]'),
+    "fraction-one-variable": compact_joint_text((3,), 0, [[0], [1.5]], ["0.5", "0.5"]),
+    "index-beyond-int64": BASE_TEXT.replace('"tuple":[1,2]', '"tuple":[%d,2]' % 2**63),
+    "second-atoms-array": BASE_TEXT[:-1] + ',"x":{"atoms":[{"tuple":[0,0],"prob":1}]}}',
+    "duplicate-atoms-key": BASE_TEXT[:-1] + ',"atoms":[]}',
+    "nested-atoms": '{"alphabet_sizes":{"atoms":[{"tuple":[0,0],"prob":1}]},'
+                    '"outcome_index":1,"atoms":[]}',
+    "backslash-outside": BASE_TEXT.replace('"outcome_index"', '"outcome\\u005findex"'),
+    "extra-key": BASE_TEXT[:-1] + ',"note":"x"}',
+    "boolean-outcome": BASE_TEXT.replace('"outcome_index":1', '"outcome_index":true'),
+    "float-alphabet-size": BASE_TEXT.replace('"alphabet_sizes":[2,3]', '"alphabet_sizes":[2.0,3]'),
+    "empty-atoms": compact_joint_text(BASE_SIZES, 1, [], []),
+    "pretty-printed": json.dumps(json.loads(BASE_TEXT), indent=2),
+    "atoms-not-closed": BASE_TEXT[:-2],
+}
+
+
+@pytest.mark.parametrize("content", NOT_COMPACT.values(), ids=NOT_COMPACT.keys())
+def test_compact_reader_leaves_other_files_to_json_loads(tmp_path, content):
+    path = tmp_path / "joint.json"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    with mock.patch.object(pipeline, "_COMPACT_MIN_BYTES", 0):
+        assert pipeline._read_compact_joint(path) is None
+        assert joint_outcome(path) == json_loads_outcome(path)
+
+
+# Compact files the reader takes; those with an invalid joint go on to json.loads.
+COMPACT = {
+    "base": BASE_TEXT,
+    "exponent": with_prob("2.5e-1", at=0),
+    "exponent-leading-zeros": with_prob("2.5e-01", at=0),
+    "integer-exponent": with_prob("25e-2", at=0),
+    "zero-exponent": with_prob("0e5"),
+    "integer-prob": compact_joint_text(BASE_SIZES, 1, [[1, 1]], ["1"]),
+    "key-order": compact_joint_text(BASE_SIZES, 1, BASE_CELLS, BASE_PROBS,
+                                    ("atoms", "outcome_index", "alphabet_sizes")),
+    "outer-whitespace": BASE_TEXT.replace('"alphabet_sizes":[2,3]', ' "alphabet_sizes" : [2, 3] ')
+                        + "\n",
+    "one-variable": compact_joint_text((3,), 0, [[0], [2]], ["0.5", "0.5"]),
+    "subnormal": with_prob("5e-324"),
+    "overflow-prob": with_prob("1e400"),
+    "integer-prob-beyond-float": with_prob("1" * 400),
+    "index-out-of-range": BASE_TEXT.replace('"tuple":[1,2]', '"tuple":[1,3]'),
+    "duplicate-atom": BASE_TEXT.replace('"tuple":[1,2]', '"tuple":[1,1]'),
+    "mass-off": with_prob("0.5"),
+    "alphabet-too-large": BASE_TEXT.replace('"alphabet_sizes":[2,3]', '"alphabet_sizes":[2,3000000]'),
+    "alphabet-size-zero": BASE_TEXT.replace('"alphabet_sizes":[2,3]', '"alphabet_sizes":[0,3]'),
+    "outcome-out-of-range": BASE_TEXT.replace('"outcome_index":1', '"outcome_index":7'),
+}
+
+
+@pytest.mark.parametrize("content", COMPACT.values(), ids=COMPACT.keys())
+def test_compact_reader_reads_the_compact_layout(tmp_path, content):
+    path = tmp_path / "joint.json"
+    path.write_text(content)
+    with mock.patch.object(pipeline, "_COMPACT_MIN_BYTES", 0):
+        assert pipeline._read_compact_joint(path) is not None
+        assert joint_outcome(path) == json_loads_outcome(path)
+
+
+FLOAT_INDICES = ("fraction-index", "exponent-index", "fraction-first-index",
+                 "exponent-last-index", "fraction-one-variable")
+
+
+@pytest.mark.parametrize("name", FLOAT_INDICES)
+def test_float_indices_never_reach_the_reader(tmp_path, name):
+    # numpy's int reader once warned about a float and truncated it, so the
+    # byte tests, not the reader, must reject '.' and 'e' in an index
+    path = tmp_path / "joint.json"
+    path.write_text(NOT_COMPACT[name])
+    with mock.patch.object(pipeline, "_COMPACT_MIN_BYTES", 0), \
+            mock.patch.object(pipeline.np, "loadtxt", side_effect=AssertionError("loadtxt")):
+        assert pipeline._read_compact_joint(path) is None
+
+
+def test_a_reader_warning_sends_the_file_to_json_loads(tmp_path):
+    path = tmp_path / "joint.json"
+    path.write_text(BASE_TEXT)
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("float in an integer field", DeprecationWarning)
+        return loadtxt(*args, **kwargs)
+
+    with mock.patch.object(pipeline, "_COMPACT_MIN_BYTES", 0):
+        assert pipeline._read_compact_joint(path) is not None
+        with mock.patch.object(pipeline.np, "loadtxt", warning_loadtxt):
+            assert pipeline._read_compact_joint(path) is None
+            assert joint_outcome(path) == json_loads_outcome(path)
+
+
+def write_compact_joint(path, sizes):
+    cells = list(itertools.product(*map(range, sizes)))
+    probs = [repr(1 / len(cells))] * len(cells)
+    path.write_text(compact_joint_text(sizes, 0, cells, probs))
+    return path
+
+
+def test_compact_joint_atoms_never_reach_json_loads(tmp_path):
+    path = write_compact_joint(tmp_path / "joint.json", (4, 4, 4))
+    assert os.path.getsize(path) >= pipeline._COMPACT_MIN_BYTES
+    expected = json_loads_outcome(path)
+    loads = json.loads
+
+    def outer_only_loads(text, **kwargs):
+        assert "tuple" not in text
+        return loads(text, **kwargs)
+
+    with mock.patch.object(pipeline.json, "loads", outer_only_loads):
+        joint, outcome = load_joint_json(path)
+    assert (joint.alphabet_sizes, joint.table.tobytes(), outcome) == expected
+
+
+def test_small_joint_files_are_read_by_json_loads(tmp_path):
+    path = write_compact_joint(tmp_path / "joint.json", (2, 2))
+    assert os.path.getsize(path) < pipeline._COMPACT_MIN_BYTES
+    with mock.patch.object(pipeline.json, "loads", wraps=json.loads) as spy:
+        load_joint_json(path)
+    assert [c.args for c in spy.call_args_list] == [(path.read_text(),)]
 
 
 def test_audit_dataset_boundary_equalities():
