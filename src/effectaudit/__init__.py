@@ -19,7 +19,6 @@ from .effect_models import (
     logistic_total,
     multiplier_range,
     probability_swing,
-    simulate_multiplicative,
 )
 from .finite_sample import (
     MonteCarloEstimate,
@@ -31,7 +30,6 @@ from .finite_sample import (
     expected_sum_sq,
     expected_sum_sq_mc,
     random_sample_matrix,
-    sample_corr,
     standardize,
     sum_sq_corr,
     svd,
@@ -39,8 +37,6 @@ from .finite_sample import (
 from .info_bounds import (
     DiscreteJoint,
     MIReport,
-    chain_rule_check,
-    conditional_entropy,
     entropy,
     max_independent_informative,
     mi_piranha_check,
@@ -110,10 +106,8 @@ __all__ = [
     "DiscreteJoint",
     "MIReport",
     "entropy",
-    "conditional_entropy",
     "mutual_information",
     "mi_piranha_check",
-    "chain_rule_check",
     "max_independent_informative",
     # finite sample
     "SampleMatrix",
@@ -122,7 +116,6 @@ __all__ = [
     "MonteCarloEstimate",
     "RunningMoments",
     "standardize",
-    "sample_corr",
     "svd",
     "sum_sq_corr",
     "random_sample_matrix",
@@ -135,7 +128,6 @@ __all__ = [
     "AggregateSummary",
     "aggregate_sd_log",
     "multiplier_range",
-    "simulate_multiplicative",
     "logistic_total",
     "probability_swing",
     # pipeline and reports

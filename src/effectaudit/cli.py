@@ -26,6 +26,7 @@ from .effect_models import (
 from .errors import EffectAuditError
 from .finite_sample import (
     MAX_MIXTURE_TRIALS,
+    MAX_SPHERE_CELLS,
     chisq_mixture_compare,
     expected_sum_sq,
     expected_sum_sq_mc,
@@ -137,7 +138,6 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[DiagnosticReport, int]:
         trials=args.trials,
         seed=args.seed,
         psd_tolerance=args.psd_tolerance,
-        output_format=args.format,
     )
     report = audit_dataset(load_csv_file(args.csv), cfg)
     d = report.dataset
@@ -171,6 +171,12 @@ def _cmd_check_claims(args: argparse.Namespace) -> tuple[DiagnosticReport, int]:
 def _cmd_simulate_sphere(args: argparse.Namespace) -> tuple[DiagnosticReport, int]:
     if args.n <= args.p or args.p < 1:
         raise EffectAuditError(f"need n > p >= 1, got n={args.n}, p={args.p}")
+    if args.n * args.p > MAX_SPHERE_CELLS:
+        # The design is drawn dense; refuse before drawing it.
+        raise EffectAuditError(
+            f"--n times --p must be at most {MAX_SPHERE_CELLS}, "
+            f"got {args.n} x {args.p} = {args.n * args.p}"
+        )
     if args.trials > MAX_MIXTURE_TRIALS:
         # The KS comparison holds every trial; refuse before drawing anything.
         raise EffectAuditError(

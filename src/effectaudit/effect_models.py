@@ -17,12 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidShapeError
-from .finite_sample import MonteCarloEstimate, RunningMoments
-
-_SIM_BATCH = 65536
 
 
 @dataclass(frozen=True)
@@ -91,40 +86,6 @@ def multiplier_range(field: MultiplicativeField) -> AggregateSummary:
             f"one-sd multiplier band exp({sd!r}) overflows a float"
         ) from None
     return AggregateSummary(sd_log=sd, low_multiplier=math.exp(-sd), high_multiplier=high)
-
-
-def simulate_multiplicative(
-    field: MultiplicativeField, trials: int, seed: int
-) -> MonteCarloEstimate:
-    """Estimate the sd of the total log effect by simulation.
-
-    Each trial activates effects independently and records the centered total
-    log effect; the estimate's ``mean`` is the sample standard deviation of
-    those totals.  Because the estimand is an sd rather than a mean,
-    ``stderr`` is the normal-theory standard error of a sample standard
-    deviation, sd / sqrt(2 (trials - 1)); totals are sums of independent
-    activations, so the normal approximation is accurate for any
-    non-trivial count.  Deterministic for a fixed seed.
-    """
-    if trials < 2:
-        raise InvalidShapeError(f"need at least 2 trials, got {trials}")
-    log_m = math.log(field.multiplier)
-    center = field.count * field.activation_prob * log_m
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    moments = RunningMoments()
-    done = 0
-    while done < trials:
-        m = min(_SIM_BATCH, trials - done)
-        active = rng.binomial(field.count, field.activation_prob, size=m)
-        moments.update(active * log_m - center)
-        done += m
-    sd = moments.std
-    return MonteCarloEstimate(
-        mean=sd,
-        stderr=sd / math.sqrt(2.0 * (trials - 1)),
-        trials=trials,
-        seed=int(seed),
-    )
 
 
 def logistic_total(field: LogisticField) -> float:

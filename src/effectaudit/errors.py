@@ -96,10 +96,6 @@ class OverlappingSubsetsError(EffectAuditError):
     """Two variable subsets that must be disjoint overlap."""
 
 
-class InvalidPermutationError(EffectAuditError):
-    """Ordering is not a permutation of all variable indices."""
-
-
 class InvalidJointError(EffectAuditError):
     """Joint pmf violates a construction invariant (mass, arity, size cap, ...)."""
 

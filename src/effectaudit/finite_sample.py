@@ -70,10 +70,6 @@ _BATCH = 4096
 # 8192 rows took 34-36 ms and 1024 rows 44 ms.
 _QR_ROWS = 2048
 
-# Bytes of responses per batch in the direct sphere simulator, which draws a
-# full n-vector per trial; its row count shrinks as n grows.
-_DIRECT_BATCH_BYTES = 16 * 2**20
-
 # Memory one request may hold where it grows with an option, and what one
 # chisq_mixture_compare call holds per trial (tracemalloc peak over trials:
 # 57 bytes at 10^5 trials and p = 50, 56 at 10^6, whatever p is).
@@ -81,6 +77,13 @@ _DIRECT_BATCH_BYTES = 16 * 2**20
 MEMORY_BUDGET = 2**30
 _MIXTURE_BYTES_PER_TRIAL = 64
 MAX_MIXTURE_TRIALS = MEMORY_BUDGET // _MIXTURE_BYTES_PER_TRIAL
+
+# What simulate-sphere holds per cell of its random n x p design (the raw
+# draw, its standardized copy and the Gram route; tracemalloc peak through
+# the CLI over n * p: 32-33 bytes at n * p = 10^6 to 3 * 10^6, p = 1 to 10).
+# simulate-sphere refuses a larger design than fits.
+_SPHERE_BYTES_PER_CELL = 64
+MAX_SPHERE_CELLS = MEMORY_BUDGET // _SPHERE_BYTES_PER_CELL
 
 # Largest sample for which scipy's ks_2samp (method "auto") computes the
 # exact p-value, rounding the statistic to a multiple of 1/lcm(n1, n2).
@@ -257,15 +260,6 @@ def standardize(x: np.ndarray) -> StandardizedVector:
     return StandardizedVector(centered / norm)
 
 
-def sample_corr(x: np.ndarray, y: np.ndarray) -> float:
-    """Sample correlation as the inner product of standardized vectors."""
-    xs = standardize(x)
-    ys = standardize(y)
-    if xs.n != ys.n:
-        raise DimensionMismatchError(f"lengths differ: {xs.n} vs {ys.n}")
-    return float(np.dot(xs.values, ys.values))
-
-
 def _pad_orthonormal(
     basis: list[np.ndarray], n: int, count: int
 ) -> list[np.ndarray]:
@@ -390,33 +384,6 @@ def _law_sum_sq_batches(
         if dof > 0:
             total += rng.chisquare(dof, size=m)
         yield (z @ sigma_sq) / total
-        done += m
-
-
-def _direct_sum_sq_batches(
-    x: SampleMatrix,
-    trials: int,
-    rng: np.random.Generator,
-    batch_bytes: int = _DIRECT_BATCH_BYTES,
-):
-    """Yield batches of sum_sq_corr values by drawing each response in R^n.
-
-    The O(trials * n * p) reference simulator behind the exact-law sampler.
-    Rows are drawn row-major, so the draws do not depend on ``batch_bytes``,
-    which only caps the memory of one batch.
-    """
-    a = x.entries
-    n = x.n
-    rows = max(1, batch_bytes // (8 * n))
-    done = 0
-    while done < trials:
-        m = min(rows, trials - done)
-        g = rng.standard_normal((m, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)  # uniform on the sphere
-        g -= g.mean(axis=1, keepdims=True)
-        g /= np.linalg.norm(g, axis=1, keepdims=True)  # standardized response
-        c = g @ a
-        yield (c * c).sum(axis=1)
         done += m
 
 

@@ -25,7 +25,6 @@ from .errors import (
     EmptySubsetError,
     IndexOutOfRangeError,
     InvalidJointError,
-    InvalidPermutationError,
     InvalidShapeError,
     OverlappingSubsetsError,
 )
@@ -33,7 +32,6 @@ from .errors import (
 MAX_JOINT_CELLS = 10**6
 MASS_TOLERANCE = 1e-12
 MI_TOLERANCE = 1e-12
-CHAIN_RULE_TOLERANCE = 1e-10
 
 _LN2 = math.log(2.0)
 
@@ -129,7 +127,7 @@ def _atom_table(sizes: tuple[int, ...], atoms: Sequence, probs: Sequence) -> np.
             seen.add(cell)
     try:
         p = np.asarray(probs, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         p = None
     if p is None or p.shape != (n,):
         for atom, prob in zip(idx.tolist() if idx is atoms else atoms, probs):
@@ -138,6 +136,10 @@ def _atom_table(sizes: tuple[int, ...], atoms: Sequence, probs: Sequence) -> np.
             except (TypeError, ValueError):
                 raise InvalidJointError(
                     f"probability {prob!r} at {tuple(atom)!r} is not a number"
+                ) from None
+            except OverflowError:  # an integer beyond the float range
+                raise InvalidJointError(
+                    f"probability at {tuple(atom)!r} is beyond the float range"
                 ) from None
         raise InvalidJointError("probabilities must be numbers")
     bad = np.flatnonzero(~(np.isfinite(p) & (p >= 0.0)))
@@ -252,32 +254,6 @@ def entropy(joint: DiscreteJoint, var_subset: Iterable[int], units: str = "nats"
     return _in_units(_entropy_nats(joint, _normalize_subset(joint, var_subset)), units)
 
 
-def conditional_entropy(
-    joint: DiscreteJoint,
-    target: Iterable[int],
-    given: Iterable[int],
-    units: str = "nats",
-) -> float:
-    """H(target | given) = H(target, given) - H(given).
-
-    ``given`` may be empty, in which case this is the plain entropy of
-    ``target``.
-    """
-    t = _normalize_subset(joint, target)
-    g_list = tuple(sorted({int(i) for i in given}))
-    for i in g_list:
-        if not 0 <= i < joint.num_vars:
-            raise IndexOutOfRangeError(
-                f"variable index {i} outside 0..{joint.num_vars - 1}"
-            )
-    if set(t) & set(g_list):
-        raise OverlappingSubsetsError(f"target {t!r} overlaps given {g_list!r}")
-    if not g_list:
-        return _in_units(_entropy_nats(joint, t), units)
-    joint_h = _entropy_nats(joint, tuple(sorted(set(t) | set(g_list))))
-    return _in_units(joint_h - _entropy_nats(joint, g_list), units)
-
-
 def mutual_information(
     joint: DiscreteJoint,
     a: Iterable[int],
@@ -336,24 +312,6 @@ def mi_piranha_check(
         rhs=rhs * scale,
         satisfied=bool(lhs <= rhs + MI_TOLERANCE),
     )
-
-
-def chain_rule_check(joint: DiscreteJoint, ordering: Iterable[int]) -> bool:
-    """Verify H(all) == sum_i H(v_i | v_1..v_{i-1}) along ``ordering``.
-
-    ``ordering`` must be a permutation of all variable indices.  True when the
-    telescoped conditional entropies match the joint entropy within 1e-10.
-    """
-    order = [int(i) for i in ordering]
-    if sorted(order) != list(range(joint.num_vars)):
-        raise InvalidPermutationError(
-            f"{order!r} is not a permutation of 0..{joint.num_vars - 1}"
-        )
-    total = 0.0
-    for k, v in enumerate(order):
-        total += conditional_entropy(joint, [v], order[:k])
-    h_all = _entropy_nats(joint, tuple(range(joint.num_vars)))
-    return abs(total - h_all) <= CHAIN_RULE_TOLERANCE
 
 
 def max_independent_informative(h_y: float, alpha: float) -> int:

@@ -18,16 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatchError, EntryOutOfRangeError, TauOutOfRangeError
-from .matrix_core import (
-    CorrelationMatrix,
-    SecondMomentMatrix,
-    equicorrelation,
-)
+from .matrix_core import CorrelationMatrix, SecondMomentMatrix
 
 FEASIBILITY_TOLERANCE = 1e-9
 
@@ -113,22 +108,17 @@ class TightnessInstance:
 
     With off-diagonal correlation tau^2 among the p explanatory variables and
     y proportional to their sum, every corr(X_i, y) equals ``implied_corr``,
-    which approaches tau from above as p grows.  ``sigma`` is built lazily:
-    for large p the report only needs the closed-form spectrum, not the dense
-    p x p matrix.
+    which approaches tau from above as p grows.  Only the closed-form
+    spectrum is kept; ``equicorrelation(p, tau**2)`` builds the matrix itself.
     """
 
     p: int
     tau: float
     implied_corr: float
 
-    @cached_property
-    def sigma(self) -> CorrelationMatrix:
-        return equicorrelation(self.p, self.tau**2)
-
     @property
     def lambda_max(self) -> float:
-        """Top eigenvalue of sigma, in closed form."""
+        """Top eigenvalue of the equicorrelation matrix, in closed form."""
         return 1.0 + (self.p - 1) * self.tau**2
 
     @property

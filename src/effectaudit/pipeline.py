@@ -112,8 +112,6 @@ class AuditConfig:
     trials: int = 100_000
     seed: int = 0
     psd_tolerance: float = 1e-8
-    entropy_units: str = "nats"
-    output_format: str = "text"
 
     def __post_init__(self):
         if self.trials < 2:
@@ -122,10 +120,6 @@ class AuditConfig:
             raise InvalidShapeError(
                 f"psd tolerance must be finite and non-negative, got {self.psd_tolerance!r}"
             )
-        if self.entropy_units not in ("nats", "bits"):
-            raise ValueError(f"bad entropy units {self.entropy_units!r}")
-        if self.output_format not in ("json", "text"):
-            raise ValueError(f"bad output format {self.output_format!r}")
 
 
 def _parse_cell(cell: str, row: int, col: int) -> float:
@@ -252,7 +246,7 @@ def load_claims_json(
     matrix.  Returns the claim set and the file's eps (None when absent).
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = _json_loads(fh.read(), path)
     if not isinstance(raw, dict) or "tau" not in raw:
         raise InvalidJointError("claims file must be a JSON object with a 'tau' array")
     tau = raw["tau"]
@@ -278,6 +272,16 @@ def load_claims_json(
     return ClaimSet(tau=np.asarray(tau, dtype=float), cross=cross), (
         None if eps is None else float(eps)
     )
+
+
+def _json_loads(text: str, path: str | os.PathLike) -> object:
+    """``json.loads``, with nesting too deep for its decoder reported as bad input."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InvalidJointError(
+            f"{os.fspath(path)}: JSON nested too deeply to read"
+        ) from None
 
 
 def _is_json_number(value: object) -> bool:
@@ -409,7 +413,7 @@ def _read_compact_joint(
         return None
     try:
         raw = json.loads(outer.decode("ascii"), object_pairs_hook=_unique_keys)
-    except ValueError:
+    except (ValueError, RecursionError):  # json.loads below names the error
         return None
     if not (isinstance(raw, dict) and raw.keys() == _JOINT_KEYS and raw["atoms"] == []):
         return None
@@ -438,7 +442,7 @@ def load_joint_json(path: str | os.PathLike) -> tuple[DiscreteJoint, int]:
             pass
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    raw = json.loads(text)
+    raw = _json_loads(text, path)
     for key in ("alphabet_sizes", "outcome_index", "atoms"):
         if not isinstance(raw, dict) or key not in raw:
             raise InvalidJointError(f"joint pmf file is missing {key!r}")

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from effectaudit import cli, parse_report, pipeline
+from effectaudit import cli, finite_sample, parse_report, pipeline
 from effectaudit.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -162,6 +162,46 @@ def test_simulate_sphere_trials_cap_is_inclusive(capsys, monkeypatch):
     assert code == 2 and "--trials must be at most 1000, got 1001" in err
 
 
+def test_simulate_sphere_design_cap_exit_two_before_drawing(capsys):
+    n = cli.MAX_SPHERE_CELLS // 3 + 1
+    argv = ("simulate-sphere", "--n", str(n), "--p", "3", "--trials", "1000", "--seed", "1")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert f"--n times --p must be at most {cli.MAX_SPHERE_CELLS}, got {n} x 3 = {3 * n}" in err
+    # the design alone would be 8 bytes per cell
+    assert peak < 2**20, f"{peak} bytes held before refusing"
+
+
+def test_simulate_sphere_design_cap_is_inclusive(capsys, monkeypatch):
+    # a small stand-in cap, so both sides of it run quickly
+    monkeypatch.setattr(cli, "MAX_SPHERE_CELLS", 150)
+    base = ("simulate-sphere", "--p", "3", "--trials", "1000", "--seed", "1")
+    assert run(capsys, *base, "--n", "50")[0] == 0
+    code, _, err = run(capsys, *base, "--n", "51")
+    assert code == 2 and "--n times --p must be at most 150, got 51 x 3 = 153" in err
+
+
+def test_simulate_sphere_memory_per_design_cell_is_bounded(capsys):
+    # the bytes per cell behind the --n times --p cap; 1000 trials hold ~56 kB
+    n, p = 500_000, 2
+    argv = ["simulate-sphere", "--n", str(n), "--p", str(p), "--trials", "1000", "--seed", "1"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    cells = n * p
+    assert peak < finite_sample._SPHERE_BYTES_PER_CELL * cells, f"{peak / cells:.1f} bytes per cell"
+
+
 def test_check_claims_p_cap_exit_two_before_allocating(capsys):
     over = cli.MAX_CLAIMS + 1
     tracemalloc.start()
@@ -201,6 +241,30 @@ def test_check_claims_memory_per_claim_is_bounded(capsys, fmt):
     capsys.readouterr()
     assert code == 0
     assert peak < pipeline._CLAIM_BYTES * claims, f"{peak / claims:.1f} bytes per claim"
+
+
+NESTED = "[" * 100_000 + "]" * 100_000
+
+# Files nested too deeply for json.loads; "compact-joint" reaches the compact
+# reader's parse of the text around its atoms array (the file is over 2 kB).
+NESTED_FILES = {
+    "joint": ("mi-check", '{"alphabet_sizes":%s,"outcome_index":0,"atoms":[]}' % NESTED),
+    "compact-joint": ("mi-check", '{"alphabet_sizes":%s,"outcome_index":0,'
+                                  '"atoms":[{"tuple":[0],"prob":1}]}' % NESTED),
+    "claims": ("check-claims", '{"tau":%s}' % NESTED),
+}
+
+
+@pytest.mark.parametrize("name", NESTED_FILES)
+def test_deeply_nested_json_exit_two(capsys, tmp_path, name):
+    command, text = NESTED_FILES[name]
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    argv = (command, str(path)) if command == "mi-check" else (command, "--claims", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"effectaudit: error: {path}: JSON nested too deeply to read\n"
+    assert "Traceback" not in err
 
 
 def test_aggregate_text_output(capsys):

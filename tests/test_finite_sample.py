@@ -17,7 +17,6 @@ from effectaudit import (
     expected_sum_sq,
     expected_sum_sq_mc,
     random_sample_matrix,
-    sample_corr,
     standardize,
     sum_sq_corr,
     svd,
@@ -27,7 +26,6 @@ from effectaudit.finite_sample import (
     _MIXTURE_BYTES_PER_TRIAL,
     _QR_ROWS,
     SINGULAR_VALUE_CUTOFF,
-    _direct_sum_sq_batches,
     _gram_route,
     _ks_statistic,
     _law_sum_sq_batches,
@@ -69,6 +67,11 @@ def test_standardize_rejects_constant_and_bad_shape():
         standardize(np.array([1.0]))
 
 
+def sample_corr(x: np.ndarray, y: np.ndarray) -> float:
+    """Sample correlation as the inner product of standardized vectors."""
+    return float(np.dot(standardize(x).values, standardize(y).values))
+
+
 def test_sample_corr_fixture():
     assert sample_corr(np.array([1.0, 2, 3]), np.array([1.0, 2, 4])) == pytest.approx(
         0.9819805060619655, abs=1e-15
@@ -104,11 +107,6 @@ def test_sample_corr_affine_invariance(a, b, flip, seed):
     assert sample_corr(scale * x + b, y) == pytest.approx(
         -base if flip else base, abs=1e-10
     )
-
-
-def test_sample_corr_length_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        sample_corr(np.arange(4.0), np.arange(5.0))
 
 
 def test_sample_matrix_validation():
@@ -311,7 +309,7 @@ def test_sum_sq_corr_dual_route_and_spectral_cap():
         p = int(rng.integers(1, min(n, 7)))
         x = random_sample_matrix(n, p, rng)
         y = rng.standard_normal(n)
-        direct = sum(sample_corr(x.entries[:, j], y) ** 2 for j in range(p))
+        direct = sum(np.corrcoef(x.entries[:, j], y)[0, 1] ** 2 for j in range(p))
         assert sum_sq_corr(x, y) == pytest.approx(direct, abs=1e-10)
         assert sum_sq_corr(x, y) <= svd(x).sigma1_sq + 1e-9
 
@@ -463,6 +461,38 @@ def test_chisq_mixture_compare_memory_per_trial_is_bounded():
 def _duplicated_column_design(n: int, rng: np.random.Generator) -> SampleMatrix:
     cols = [standardize(rng.standard_normal(n)).values for _ in range(2)]
     return SampleMatrix(np.column_stack([cols[0], cols[1], cols[0]]))
+
+
+# Bytes of responses per batch in the direct sphere simulator, which draws a
+# full n-vector per trial; its row count shrinks as n grows.
+_DIRECT_BATCH_BYTES = 16 * 2**20
+
+
+def _direct_sum_sq_batches(
+    x: SampleMatrix,
+    trials: int,
+    rng: np.random.Generator,
+    batch_bytes: int = _DIRECT_BATCH_BYTES,
+):
+    """Yield batches of sum_sq_corr values by drawing each response in R^n.
+
+    The O(trials * n * p) reference simulator behind the exact-law sampler.
+    Rows are drawn row-major, so the draws do not depend on ``batch_bytes``,
+    which only caps the memory of one batch.
+    """
+    a = x.entries
+    n = x.n
+    rows = max(1, batch_bytes // (8 * n))
+    done = 0
+    while done < trials:
+        m = min(rows, trials - done)
+        g = rng.standard_normal((m, n))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)  # uniform on the sphere
+        g -= g.mean(axis=1, keepdims=True)
+        g /= np.linalg.norm(g, axis=1, keepdims=True)  # standardized response
+        c = g @ a
+        yield (c * c).sum(axis=1)
+        done += m
 
 
 SAMPLER_DESIGNS = [

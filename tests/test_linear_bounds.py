@@ -96,7 +96,7 @@ def test_eigen_bound_tightness_instance_equality():
     # equicorrelated construction at p=50, tau=0.3: both sides 1 + 49 * 0.09 = 5.41
     inst = tightness_instance(50, 0.3)
     corr_xy = np.full(50, inst.implied_corr)
-    r = eigen_bound_check(corr_xy, inst.sigma)
+    r = eigen_bound_check(corr_xy, equicorrelation(inst.p, inst.tau**2))
     assert r.lhs == pytest.approx(5.41, abs=1e-9)
     assert r.rhs == pytest.approx(5.41, abs=1e-9)
     assert r.satisfied
@@ -179,16 +179,17 @@ def test_tightness_approaches_tau_from_above():
 
 def test_tightness_sigma_is_lazy_and_valid():
     inst = tightness_instance(6, 0.5)
-    assert "sigma" not in inst.__dict__  # not built yet
-    sig = inst.sigma
+    assert set(vars(inst)) == {"p", "tau", "implied_corr"}  # no p x p matrix is held
+    sig = equicorrelation(inst.p, inst.tau**2)
     assert sig.entries[0, 1] == 0.25
     assert np.linalg.eigvalsh(sig.entries)[0] >= -1e-12
+    assert np.linalg.eigvalsh(sig.entries)[-1] == pytest.approx(inst.lambda_max, abs=1e-12)
 
 
 def test_vdc_tight_on_construction_for_large_p():
     # the construction drives sum |corr| to the bound as p grows
     inst = tightness_instance(400, 0.3)
-    r = vdc_check(np.full(inst.p, inst.implied_corr), inst.sigma)
+    r = vdc_check(np.full(inst.p, inst.implied_corr), equicorrelation(inst.p, inst.tau**2))
     assert r.satisfied
     assert r.slack == pytest.approx(0.0, abs=1e-6)
 

@@ -642,6 +642,24 @@ def test_compact_reader_reads_the_compact_layout(tmp_path, content):
         assert joint_outcome(path) == json_loads_outcome(path)
 
 
+def test_integer_prob_beyond_float_names_its_atom(tmp_path):
+    path = tmp_path / "joint.json"
+    path.write_text(COMPACT["integer-prob-beyond-float"])
+    with pytest.raises(InvalidJointError, match=r"^probability at \(1, 2\) is beyond the float range$"):
+        load_joint_json(path)
+
+
+def test_compact_reader_leaves_deep_nesting_to_json_loads(tmp_path):
+    # json.loads of the text around the atoms raises RecursionError, not ValueError
+    path = tmp_path / "joint.json"
+    nested = "[" * 100_000 + "2" + "]" * 100_000
+    path.write_text(BASE_TEXT.replace('"alphabet_sizes":[2,3]', '"alphabet_sizes":' + nested))
+    assert os.path.getsize(path) >= pipeline._COMPACT_MIN_BYTES
+    assert pipeline._read_compact_joint(path) is None
+    with pytest.raises(InvalidJointError, match="JSON nested too deeply to read"):
+        load_joint_json(path)
+
+
 FLOAT_INDICES = ("fraction-index", "exponent-index", "fraction-first-index",
                  "exponent-last-index", "fraction-one-variable")
 

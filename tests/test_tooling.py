@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import effectaudit
 from effectaudit import cli, pipeline
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -34,6 +35,13 @@ def test_every_traced_name_is_bound_by_cli_or_pipeline():
         if not (hasattr(cli, name) or hasattr(pipeline, name))
     ]
     assert unbound == []
+
+
+def test_package_all_names_resolve_once():
+    # a name left in __all__ after its definition is deleted breaks "import *"
+    names = effectaudit.__all__
+    assert [name for name in names if not hasattr(effectaudit, name)] == []
+    assert sorted(name for name in set(names) if names.count(name) > 1) == []
 
 
 @pytest.mark.parametrize("name", SOURCES)
