@@ -6,6 +6,15 @@ callers (and the CLI) can distinguish bad input from genuine bugs.
 
 from __future__ import annotations
 
+# Characters of an input value that an error message repeats: a longer value
+# is cut there and marked with "...", so a message does not grow with the file.
+ECHO_CHARS = 80
+
+
+def echo(text: str) -> str:
+    """``text`` cut to ``ECHO_CHARS`` characters, with "..." when it was cut."""
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
+
 
 class EffectAuditError(Exception):
     """Base class for every error raised by this package."""

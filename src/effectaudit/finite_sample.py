@@ -58,7 +58,6 @@ COLUMN_MEAN_TOLERANCE = 1e-10
 COLUMN_NORM_TOLERANCE = 1e-10
 CONSTANT_REL_TOLERANCE = 1e-14
 SINGULAR_VALUE_CUTOFF = 1e-12
-TRACE_TOLERANCE = 1e-8
 
 # Trials per vectorized batch in the Monte Carlo loops.  Part of the
 # determinism contract: a fixed seed always replays the same batch

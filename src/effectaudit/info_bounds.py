@@ -27,6 +27,7 @@ from .errors import (
     InvalidJointError,
     InvalidShapeError,
     OverlappingSubsetsError,
+    echo,
 )
 
 MAX_JOINT_CELLS = 10**6
@@ -50,9 +51,9 @@ def _check_sizes(alphabet_sizes: Iterable[int]) -> tuple[int, ...]:
     try:
         sizes = tuple(operator.index(s) for s in alphabet_sizes)
     except TypeError:
-        raise InvalidJointError(f"bad alphabet sizes {alphabet_sizes!r}") from None
+        raise InvalidJointError(f"bad alphabet sizes {echo(repr(alphabet_sizes))}") from None
     if len(sizes) < 1 or any(s < 1 for s in sizes):
-        raise InvalidJointError(f"bad alphabet sizes {sizes!r}")
+        raise InvalidJointError(f"bad alphabet sizes {echo(repr(sizes))}")
     cells = math.prod(sizes)
     if cells > MAX_JOINT_CELLS:
         raise InvalidJointError(
@@ -66,15 +67,17 @@ def _bad_index(sizes: tuple[int, ...], atoms: Sequence) -> InvalidJointError:
     out-of-range index."""
     for atom in atoms:
         if not all(isinstance(i, (int, np.integer)) for i in atom):
-            return InvalidJointError(f"atom {tuple(atom)!r} has a non-integer index")
+            return InvalidJointError(f"atom {echo(repr(tuple(atom)))} has a non-integer index")
         if any(not 0 <= i < s for i, s in zip(atom, sizes)):
-            return InvalidJointError(f"atom {tuple(atom)!r} outside alphabet ranges {sizes!r}")
+            return InvalidJointError(
+                f"atom {echo(repr(tuple(atom)))} outside alphabet ranges {echo(repr(sizes))}"
+            )
     return InvalidJointError("atom indices must be integers within the alphabet ranges")
 
 
 def _bad_prob(atom: Sequence, prob: float) -> InvalidJointError:
     kind = "negative" if math.isfinite(prob) else "non-finite"
-    return InvalidJointError(f"{kind} probability {prob!r} at {tuple(atom)!r}")
+    return InvalidJointError(f"{kind} probability {prob!r} at {echo(repr(tuple(atom)))}")
 
 
 def _index_array(sizes: tuple[int, ...], atoms: Sequence) -> np.ndarray:
@@ -84,11 +87,13 @@ def _index_array(sizes: tuple[int, ...], atoms: Sequence) -> np.ndarray:
         arity = np.fromiter(map(len, atoms), np.intp, count=n)
     except TypeError:
         bad = next(a for a in atoms if not hasattr(a, "__len__"))
-        raise InvalidJointError(f"atom {bad!r} is not a sequence of indices") from None
+        raise InvalidJointError(f"atom {echo(repr(bad))} is not a sequence of indices") from None
     bad = np.flatnonzero(arity != k)
     if bad.size:
         atom = atoms[bad[0]]
-        raise InvalidJointError(f"atom {tuple(atom)!r} has arity {len(atom)}, expected {k}")
+        raise InvalidJointError(
+            f"atom {echo(repr(tuple(atom)))} has arity {len(atom)}, expected {k}"
+        )
     # Python ints give an (n, k) integer array; a float, string, nested
     # sequence or int beyond int64 gives another kind or shape.
     idx = np.array(atoms)
@@ -123,7 +128,7 @@ def _atom_table(sizes: tuple[int, ...], atoms: Sequence, probs: Sequence) -> np.
         seen: set[int] = set()
         for pos, cell in enumerate(flat.tolist()):
             if cell in seen:
-                raise InvalidJointError(f"duplicate atom {tuple(idx[pos].tolist())!r}")
+                raise InvalidJointError(f"duplicate atom {echo(repr(tuple(idx[pos].tolist())))}")
             seen.add(cell)
     try:
         p = np.asarray(probs, dtype=float)
@@ -135,11 +140,11 @@ def _atom_table(sizes: tuple[int, ...], atoms: Sequence, probs: Sequence) -> np.
                 float(prob)
             except (TypeError, ValueError):
                 raise InvalidJointError(
-                    f"probability {prob!r} at {tuple(atom)!r} is not a number"
+                    f"probability {echo(repr(prob))} at {echo(repr(tuple(atom)))} is not a number"
                 ) from None
             except OverflowError:  # an integer beyond the float range
                 raise InvalidJointError(
-                    f"probability at {tuple(atom)!r} is beyond the float range"
+                    f"probability at {echo(repr(tuple(atom)))} is beyond the float range"
                 ) from None
         raise InvalidJointError("probabilities must be numbers")
     bad = np.flatnonzero(~(np.isfinite(p) & (p >= 0.0)))

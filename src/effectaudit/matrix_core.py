@@ -186,13 +186,17 @@ def validate_correlation(
     one record per broken invariant: off-unit diagonal entries, out-of-range
     off-diagonal entries, and a minimum eigenvalue below ``-psd_tolerance``.
     """
-    violations = _cheap_correlation_violations(m)
+    # The constructor makes the cheap checks; their violations come first.
+    try:
+        corr, violations = CorrelationMatrix(m), []
+    except CorrelationValidationError as exc:
+        corr, violations = None, exc.violations
     lam_min = m.eigen.min_value
     if lam_min < -psd_tolerance:
         violations.append(NotPositiveSemiDefiniteError(lam_min, psd_tolerance))
     if violations:
         raise CorrelationValidationError(violations)
-    return CorrelationMatrix(m)
+    return corr
 
 
 def equicorrelation(p: int, rho: float) -> CorrelationMatrix:

@@ -29,6 +29,7 @@ from .errors import (
     RaggedRowError,
     TooFewRowsError,
     UnknownColumnError,
+    echo,
 )
 from .finite_sample import (
     MEMORY_BUDGET,
@@ -127,15 +128,15 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
     if s == "":
         raise MissingValueError(row, col)
     if not cell.isascii() or "_" in cell:
-        raise CsvParseError(row, col, f"not a plain ASCII number: {s!r}")
+        raise CsvParseError(row, col, f"not a plain ASCII number: {echo(repr(s))}")
     try:
         v = float(s)
     except ValueError:
-        raise CsvParseError(row, col, f"not a number: {s!r}") from None
+        raise CsvParseError(row, col, f"not a number: {echo(repr(s))}") from None
     if math.isnan(v):
         raise MissingValueError(row, col)
     if math.isinf(v):
-        raise CsvParseError(row, col, f"non-finite value: {s!r}")
+        raise CsvParseError(row, col, f"non-finite value: {echo(repr(s))}")
     return v
 
 
@@ -199,7 +200,7 @@ def load_csv(data: bytes) -> Dataset:
         raise CsvParseError(1, header.index("") + 1, "empty column name")
     if len(set(header)) != len(header):
         dupe = next(name for i, name in enumerate(header) if name in header[:i])
-        raise CsvParseError(1, header.index(dupe) + 1, f"duplicate column name {dupe!r}")
+        raise CsvParseError(1, header.index(dupe) + 1, f"duplicate column name {echo(repr(dupe))}")
     if len(lines) - 1 < MIN_ROWS:
         raise TooFewRowsError(f"need at least {MIN_ROWS} data rows, got {len(lines) - 1}")
     width = len(header)
@@ -251,19 +252,23 @@ def load_claims_json(
         raise InvalidJointError("claims file must be a JSON object with a 'tau' array")
     tau = raw["tau"]
     if not isinstance(tau, list):
-        raise InvalidJointError(f"claims 'tau' must be an array, got {json.dumps(tau)}")
+        raise InvalidJointError(f"claims 'tau' must be an array, got {echo(json.dumps(tau))}")
     for i, t in enumerate(tau):
         if not _is_json_number(t):
-            raise InvalidJointError(f"claims 'tau'[{i}] must be a number, got {json.dumps(t)}")
+            raise InvalidJointError(
+                f"claims 'tau'[{i}] must be a number, got {echo(json.dumps(t))}"
+            )
     eps = raw.get("eps")
     if eps is not None and not _is_json_number(eps):
-        raise InvalidJointError(f"claims 'eps' must be a number or null, got {json.dumps(eps)}")
+        raise InvalidJointError(
+            f"claims 'eps' must be a number or null, got {echo(json.dumps(eps))}"
+        )
     cross = None
     cross_path = raw.get("cross")
     if cross_path is not None:
         if not isinstance(cross_path, str):
             raise InvalidJointError(
-                f"claims 'cross' must be a file path or null, got {json.dumps(cross_path)}"
+                f"claims 'cross' must be a file path or null, got {echo(json.dumps(cross_path))}"
             )
         if read_cross:
             if not os.path.isabs(cross_path):
@@ -293,12 +298,21 @@ def _is_json_number(value: object) -> bool:
 # "atoms":[{"tuple":[i,...],"prob":x},...].
 _ATOMS_OPEN = b'"atoms":['
 _ATOM_OPEN = b'{"tuple":['
+_ATOM_SEP = b'},{"tuple":['
 _JOINT_KEYS = {"alphabet_sizes", "outcome_index", "atoms"}
 # Below this file size json.loads is faster than the compact reader, whose
 # fixed cost is about 0.1 ms.  On a 2-vCPU Xeon (numpy 2.4) the two took the
 # same time at 1.3-2.2 kB (k = 2..5; a 181-byte 2x2 joint: 0.10 against
 # 0.07 ms; 4.6 kB: 0.22 against 0.30 ms).
 _COMPACT_MIN_BYTES = 2048
+# The atoms array is parsed in chunks of about this many bytes, each cut
+# where an atom separator begins, so the parse holds one chunk's text,
+# masks and lines at a time besides the file and the result arrays.  On the
+# 13.97 MB, 262,144-atom joint of the benchmark's ingest workload (2-vCPU
+# Xeon, numpy 2.4) the tracemalloc peak of load_joint_json was 30 MB at
+# 2^18 bytes, 35 MB at 2^20 and 54 MB at 2^22, against 104 MB in one
+# piece; the CPU time, about 0.25 s, did not differ beyond noise.
+_CHUNK_BYTES = 1 << 20
 
 # Byte classes of the atoms text once its punctuation is replaced by
 # separators: 0 the digit '0', 1 the digits 1-9, 2 a separator (',', '|' or
@@ -326,47 +340,63 @@ def _is_json_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _compact_bytes_ok(text: bytes, k: int) -> bool:
+    """The byte tests of ``_compact_atoms`` on its lines ``i,...|x``.
+
+    A function of its own, so that its masks are freed before the lines are
+    read.
+    """
+    # With the digits deleted, a '.' or 'e' in an index is the first byte or
+    # follows a ',' or newline; in a probability it follows the '|'.
+    marks = text.translate(None, b"0123456789")
+    merged = marks.translate(_NEWLINE_AS_COMMA_E_AS_DOT)
+    if merged[:1] == b"." or b",." in merged:
+        return False
+    seps = marks.translate(None, _NOT_SEP) + b"\n"
+    n, rest = divmod(len(seps), k + 1)
+    if rest or seps != (b"," * (k - 1) + b"|\n") * n:
+        return False
+    cls = text.translate(_BYTE_CLASS)
+    if bytes([_OTHER]) in cls:
+        return False
+    c = np.frombuffer(cls, np.uint8)
+    non_digit = c >= _SEP
+    both = np.flatnonzero(non_digit[:-1] & non_digit[1:])
+    return not (
+        non_digit[0]
+        or non_digit[-1]
+        or (c[both] != _EXP).any()
+        or np.count_nonzero(c == _MINUS) != np.count_nonzero(c[both + 1] == _MINUS)
+        or (c[0] == _ZERO and c[1] <= _DIGIT)
+        or ((c[:-2] == _SEP) & (c[1:-1] == _ZERO) & (c[2:] <= _DIGIT)).any()
+    )
+
+
 def _compact_atoms(body: bytes, k: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Read ``{"tuple":[i,...],"prob":x},...`` (k indices per tuple) into an
     (n, k) int64 array and an (n,) float array, or None when the text is not
     exactly that with every number in JSON's grammar.
 
     Each atom becomes one line ``i,...|x``, and every line must hold k - 1
-    commas, then '|' (so a probability holds no comma).  Byte tests accept
-    only digits, separators, '.', 'e' and '-'; the text ends in a digit, two
-    non-digits neighbour each other only after an 'e', '-' follows only 'e',
-    no number starts with '0' and another digit, and '.' and 'e' appear only
-    after a line's '|'.  numpy's C reader then rejects what the bytes alone
-    allow but JSON does not (a second '.' or 'e', an 'e' without digits) and
-    indices beyond int64.  So every number is JSON's, with no sign outside an
-    exponent (JSON -0 is the integer 0, where a float reader gives -0.0), and
-    the reader's float conversion is the one ``float`` uses, as
-    ``_parse_body`` relies on.
+    commas, then '|' (so a probability holds no comma); a newline or '|' of
+    the text itself is refused, so neither can stand in for the JSON between
+    two numbers.  Byte tests accept only digits, separators, '.', 'e' and
+    '-'; the text starts and ends in a digit, two non-digits neighbour each
+    other only after an 'e', '-' follows only 'e', no number starts with '0'
+    and another digit, and '.' and 'e' appear only after a line's '|'.
+    numpy's C reader then rejects what the bytes alone allow but JSON does
+    not (a second '.' or 'e', an 'e' without digits) and indices beyond
+    int64.  So every number is JSON's, with no sign outside an exponent (JSON
+    -0 is the integer 0, where a float reader gives -0.0), and the reader's
+    float conversion is the one ``float`` uses, as ``_parse_body`` relies on.
+    Every test is local to an atom, so ``_chunked_atoms`` may pass the text
+    in pieces that each start at an atom's first index and end at a
+    probability's last digit.
     """
-    text = body.replace(b'},{"tuple":[', b"\n").replace(b'],"prob":', b"|")
-    # With the digits deleted, a '.' or 'e' in an index is the first byte or
-    # follows a ',' or newline; in a probability it follows the '|'.
-    marks = text.translate(None, b"0123456789")
-    merged = marks.translate(_NEWLINE_AS_COMMA_E_AS_DOT)
-    if merged[:1] == b"." or b",." in merged:
+    if b"\n" in body or b"|" in body:
         return None
-    seps = marks.translate(None, _NOT_SEP) + b"\n"
-    n, rest = divmod(len(seps), k + 1)
-    if rest or seps != (b"," * (k - 1) + b"|\n") * n:
-        return None
-    cls = text.translate(_BYTE_CLASS)
-    if bytes([_OTHER]) in cls:
-        return None
-    c = np.frombuffer(cls, np.uint8)
-    non_digit = c >= _SEP
-    both = np.flatnonzero(non_digit[:-1] & non_digit[1:])
-    if (
-        non_digit[-1]
-        or (c[both] != _EXP).any()
-        or np.count_nonzero(c == _MINUS) != np.count_nonzero(c[both + 1] == _MINUS)
-        or (c[0] == _ZERO and c[1] <= _DIGIT)
-        or ((c[:-2] == _SEP) & (c[1:-1] == _ZERO) & (c[2:] <= _DIGIT)).any()
-    ):
+    text = body.replace(_ATOM_SEP, b"\n").replace(b'],"prob":', b"|")
+    if not _compact_bytes_ok(text, k):
         return None
     lines = text.replace(b"|", b",").decode("ascii").split("\n")
     # Any warning from the reader (older numpy warned, then truncated, on
@@ -379,6 +409,40 @@ def _compact_atoms(body: bytes, k: int) -> tuple[np.ndarray, np.ndarray] | None:
     except (ValueError, Warning):
         return None
     return rows["t"], rows["p"]
+
+
+def _chunked_atoms(
+    data: bytes, start: int, end: int, k: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_compact_atoms`` of the atoms ``data[start:end]`` (``{"tuple":[`` to
+    the last ``}``), read in chunks of about ``_CHUNK_BYTES`` that each end
+    where an atom separator begins.
+
+    The result arrays are sized by the number of ``{"tuple":[`` in the
+    atoms, which is trusted only when the text has room for that many atoms:
+    a valid atom ``{"tuple":[i,...],"prob":x}`` takes at least 2k + 20
+    bytes, so a count above (end - start) / (2k + 10) returns None before
+    anything is allocated.  A chunk that fails, or a count that does not
+    match, returns None too.
+    """
+    n = data.count(_ATOM_OPEN, start, end)
+    if n * (2 * k + 10) > end - start:
+        return None
+    idx = np.empty((n, k), np.int64)
+    probs = np.empty(n)
+    filled = 0
+    lo, hi = start + len(_ATOM_OPEN), end - 1
+    while True:
+        cut = data.find(_ATOM_SEP, lo + _CHUNK_BYTES, hi)
+        atoms = _compact_atoms(data[lo:hi if cut < 0 else cut], k)
+        if atoms is None or filled + len(atoms[1]) > n:
+            return None
+        rows = slice(filled, filled + len(atoms[1]))
+        idx[rows], probs[rows] = atoms
+        filled = rows.stop
+        if cut < 0:
+            return (idx, probs) if filled == n else None
+        lo = cut + len(_ATOM_SEP)
 
 
 def _read_compact_joint(
@@ -421,7 +485,7 @@ def _read_compact_joint(
     if not (isinstance(sizes, list) and sizes and all(map(_is_json_int, sizes))
             and _is_json_int(outcome)):
         return None
-    atoms = _compact_atoms(data[start + len(_ATOM_OPEN):end - 1], len(sizes))
+    atoms = _chunked_atoms(data, start, end, len(sizes))
     return None if atoms is None else (sizes, outcome, *atoms)
 
 
@@ -457,7 +521,7 @@ def load_joint_json(path: str | os.PathLike) -> tuple[DiscreteJoint, int]:
     joint = DiscreteJoint(raw["alphabet_sizes"], atoms=atoms, probs=probs)
     outcome = raw["outcome_index"]
     if not _is_json_int(outcome):
-        raise InvalidJointError(f"outcome_index must be an integer, got {outcome!r}")
+        raise InvalidJointError(f"outcome_index must be an integer, got {echo(repr(outcome))}")
     return joint, outcome
 
 
@@ -475,11 +539,11 @@ def _reject_booleans(sizes: object, atoms: list, probs: list) -> None:
     for j, (atom, prob) in enumerate(zip(atoms, probs)):
         if isinstance(atom, list) and any(isinstance(i, bool) for i in atom):
             raise InvalidJointError(
-                f"atoms[{j}] 'tuple' must hold integers, got {json.dumps(atom)}"
+                f"atoms[{j}] 'tuple' must hold integers, got {echo(json.dumps(atom))}"
             )
         if isinstance(prob, bool):
             raise InvalidJointError(
-                f"atoms[{j}] 'prob' must be a number, got {json.dumps(prob)}"
+                f"atoms[{j}] 'prob' must be a number, got {echo(json.dumps(prob))}"
             )
 
 

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from effectaudit import cli, finite_sample, parse_report, pipeline
+from effectaudit import cli, errors, finite_sample, parse_report, pipeline
 from effectaudit.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -265,6 +265,52 @@ def test_deeply_nested_json_exit_two(capsys, tmp_path, name):
     assert code == 2 and out == ""
     assert err == f"effectaudit: error: {path}: JSON nested too deeply to read\n"
     assert "Traceback" not in err
+
+
+# A value nested 400 deep echoes as 400 '[' before its number; the message
+# shows the first errors.ECHO_CHARS characters of it.
+DEEP = "[" * 400 + "2" + "]" * 400
+LONG_VALUE_FILES = {
+    "joint": ("mi-check", '{"alphabet_sizes":[%s],"outcome_index":0,"atoms":[]}' % DEEP,
+              "bad alphabet sizes "),
+    "claims": ("check-claims", '{"tau":[0.5,%s]}' % DEEP, "claims 'tau'[1] must be a number, got "),
+}
+
+
+@pytest.mark.parametrize("name", LONG_VALUE_FILES)
+def test_error_messages_cut_a_long_value(capsys, tmp_path, name):
+    command, text, message = LONG_VALUE_FILES[name]
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    argv = (command, str(path)) if command == "mi-check" else (command, "--claims", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"effectaudit: error: {message}{'[' * errors.ECHO_CHARS}...\n"
+
+
+def test_echo_cuts_after_echo_chars():
+    assert errors.echo("x" * errors.ECHO_CHARS) == "x" * errors.ECHO_CHARS
+    assert errors.echo("x" * (errors.ECHO_CHARS + 1)) == "x" * errors.ECHO_CHARS + "..."
+
+
+def test_many_atom_openings_do_not_size_the_compact_reader(capsys, tmp_path):
+    # 10^5 variables of one value pass the cell cap; 10^5 atom openings with
+    # 10^5 indices each would be 80 GB of indices.  json.loads then stops at
+    # the missing ',' after the first atom.
+    sizes = ",".join(["1"] * 10**5)
+    atoms = '{"tuple":[0],"prob":1}' * 10**5
+    path = tmp_path / "joint.json"
+    path.write_text('{"alphabet_sizes":[%s],"outcome_index":0,"atoms":[%s]}' % (sizes, atoms))
+    size = os.path.getsize(path)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "mi-check", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("effectaudit: error: Expecting ',' delimiter") and err.count("\n") == 1
+    assert peak < 4 * size, f"{peak / size:.2f} bytes per file byte"
 
 
 def test_aggregate_text_output(capsys):

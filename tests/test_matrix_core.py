@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from effectaudit import matrix_core
 from effectaudit import (
     SecondMomentMatrix,
     SymMatrix,
@@ -64,6 +65,42 @@ def test_validate_correlation_lists_every_violation():
         validate_correlation(SymMatrix(a))
     kinds = {type(v) for v in exc.value.violations}
     assert kinds == {DiagonalNotUnitError, EntryOutOfRangeError, NotPositiveSemiDefiniteError}
+
+
+@pytest.mark.parametrize("valid", [True, False])
+def test_validate_correlation_makes_the_cheap_checks_once(monkeypatch, valid):
+    calls = []
+    cheap = matrix_core._cheap_correlation_violations
+
+    def counted(m):
+        calls.append(m)
+        return cheap(m)
+
+    monkeypatch.setattr(matrix_core, "_cheap_correlation_violations", counted)
+    a = np.eye(3) if valid else np.array([[1.5, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    m = SymMatrix(a)
+    if valid:
+        assert validate_correlation(m).base is m
+    else:
+        with pytest.raises(CorrelationValidationError):
+            validate_correlation(m)
+    assert calls == [m]
+
+
+def test_validate_correlation_lists_cheap_faults_before_the_psd_fault():
+    # the -0.9 equicorrelation block is not PSD; a diagonal and a range fault ride along
+    a = np.full((3, 3), -0.9)
+    np.fill_diagonal(a, 1.0)
+    a[2, 2] = 1.5
+    a[0, 1] = a[1, 0] = -1.2
+    with pytest.raises(CorrelationValidationError) as exc:
+        validate_correlation(SymMatrix(a))
+    violations = exc.value.violations
+    assert [type(v) for v in violations] == [
+        DiagonalNotUnitError, EntryOutOfRangeError, NotPositiveSemiDefiniteError
+    ]
+    assert str(exc.value) == "; ".join(map(str, violations))
+    assert violations[0].index == 2 and (violations[1].row, violations[1].col) == (0, 1)
 
 
 def test_validate_correlation_negative_eigenvalue_value():

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -524,13 +525,17 @@ def mutate(text: str, data) -> str:
 
 
 @settings(max_examples=300, deadline=None)
-@given(compact_joints(), st.integers(0, 2), st.data())
-def test_compact_reader_equals_the_json_loads_route(tmp_path_factory, text, mutations, data):
+@given(compact_joints(), st.integers(0, 2), st.sampled_from([1, 40, pipeline._CHUNK_BYTES]),
+       st.data())
+def test_compact_reader_equals_the_json_loads_route(tmp_path_factory, text, mutations, chunk,
+                                                    data):
+    # a 1-byte chunk cuts the atoms at every separator, 40 bytes at some
     for _ in range(mutations):
         text = mutate(text, data)
     path = tmp_path_factory.mktemp("joint") / "joint.json"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(pipeline, "_COMPACT_MIN_BYTES", 0):
+    with mock.patch.object(pipeline, "_COMPACT_MIN_BYTES", 0), \
+            mock.patch.object(pipeline, "_CHUNK_BYTES", chunk):
         if mutations == 0:
             assert pipeline._read_compact_joint(path) is not None
         assert joint_outcome(path) == json_loads_outcome(path)
@@ -572,6 +577,9 @@ NOT_COMPACT = {
     "capital-exponent-no-sign": compact_joint_text(BASE_SIZES, 1, [[1, 1]], ["1E0"]),
     "space": with_prob(" 0.25", at=0),
     "newline": with_prob("0.25\n", at=0),
+    # the reader's own lines use '\n' and '|', so neither may come from the file
+    "newline-between-atoms": BASE_TEXT.replace('},{"tuple":[0,1]', '\n0,1]'),
+    "pipe-before-prob": BASE_TEXT.replace('[0,1],"prob":0.25', '[0,1|0.25'),
     "true": with_prob("true"),
     "nan": with_prob("NaN"),
     "infinity": with_prob("Infinity"),
@@ -640,6 +648,33 @@ def test_compact_reader_reads_the_compact_layout(tmp_path, content):
     with mock.patch.object(pipeline, "_COMPACT_MIN_BYTES", 0):
         assert pipeline._read_compact_joint(path) is not None
         assert joint_outcome(path) == json_loads_outcome(path)
+
+
+@pytest.mark.parametrize("content", [*COMPACT.values(), *NOT_COMPACT.values()],
+                         ids=[*COMPACT.keys(), *NOT_COMPACT.keys()])
+def test_compact_reader_cut_at_every_atom_equals_the_json_loads_route(tmp_path, content):
+    path = tmp_path / "joint.json"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    with mock.patch.object(pipeline, "_COMPACT_MIN_BYTES", 0), \
+            mock.patch.object(pipeline, "_CHUNK_BYTES", 1):
+        assert (pipeline._read_compact_joint(path) is not None) == (content in COMPACT.values())
+        assert joint_outcome(path) == json_loads_outcome(path)
+
+
+@pytest.mark.parametrize("chunk,pieces", [(1, 6), (20, 3), (10**6, 1)])
+def test_chunks_end_where_an_atom_separator_begins(tmp_path, chunk, pieces):
+    # each chunk runs from an atom's first index to a probability's last digit
+    path = tmp_path / "joint.json"
+    path.write_text(BASE_TEXT)
+    atoms = ['%s],"prob":%s' % (",".join(map(str, c)), p) for c, p in zip(BASE_CELLS, BASE_PROBS)]
+    per_chunk = len(atoms) // pieces
+    expected = ['},{"tuple":['.join(atoms[i:i + per_chunk]).encode()
+                for i in range(0, len(atoms), per_chunk)]
+    with mock.patch.object(pipeline, "_COMPACT_MIN_BYTES", 0), \
+            mock.patch.object(pipeline, "_CHUNK_BYTES", chunk), \
+            mock.patch.object(pipeline, "_compact_atoms", wraps=pipeline._compact_atoms) as spy:
+        assert pipeline._read_compact_joint(path) is not None
+    assert [c.args for c in spy.call_args_list] == [(body, 2) for body in expected]
 
 
 def test_integer_prob_beyond_float_names_its_atom(tmp_path):
@@ -711,6 +746,24 @@ def test_compact_joint_atoms_never_reach_json_loads(tmp_path):
     with mock.patch.object(pipeline.json, "loads", outer_only_loads):
         joint, outcome = load_joint_json(path)
     assert (joint.alphabet_sizes, joint.table.tobytes(), outcome) == expected
+
+
+def test_compact_reader_memory_is_the_file_and_the_result(tmp_path):
+    # several chunks; the one-piece parse held about 7 bytes per byte of file
+    sizes = (6,) * 6
+    path = write_compact_joint(tmp_path / "joint.json", sizes)
+    size = os.path.getsize(path)
+    assert size > 2 * pipeline._CHUNK_BYTES
+    load_joint_json(path)
+    tracemalloc.start()
+    try:
+        joint, _ = load_joint_json(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    atoms, k = 6**6, len(sizes)
+    assert joint.table.size == atoms
+    assert peak <= size + 8 * (k + 1) * atoms + 8 * 2**20, f"{peak / size:.2f} bytes per file byte"
 
 
 def test_small_joint_files_are_read_by_json_loads(tmp_path):
