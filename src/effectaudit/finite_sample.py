@@ -28,9 +28,11 @@ rounding to a multiple of 1/lcm(n1, n2) when neither sample has more than
 10000 values.
 
 The singular values come from the design's one Gram-matrix eigendecomposition.
-The rank they imply is decided by a QR of X V accumulated over fixed row
-blocks, so reading them holds no n x p array beyond the data.  Left singular
-vectors are built only by :func:`svd`, on request.
+When its smallest eigenvalue clears a guard derived from the rounding errors
+involved, that spectrum alone certifies full rank; otherwise the rank is
+decided by a QR of X V accumulated over fixed row blocks.  Either way reading
+them holds no n x p array beyond the data.  Left singular vectors are built
+only by :func:`svd`, on request.
 
 This module provides the exact pieces (standardize, svd, sum_sq_corr) and the
 stochastic ones (mean estimation, a chi-square mixture comparison), all
@@ -68,6 +70,48 @@ _BATCH = 4096
 # the largest array the rank decision holds.  On a 20000 x 50 design, 2048 to
 # 8192 rows took 34-36 ms and 1024 rows 44 ms.
 _QR_ROWS = 2048
+
+# The spectrum certifies full rank when
+#
+#     lambda_min >= _RANK_GUARD * (n + p) * p^2 * eps * lambda_max,
+#
+# for then the QR below would keep every direction: each |R_kk| / sigma_k is
+# within 1e-3 of 1, far from the 0.5 cut.  Derivation (eps = machine epsilon,
+# norms are 2-norms; lambda_k, V are the computed eigenpairs of the Gram
+# matrix G, so sigma_k^2 = lambda_k; lambda_max >= 1 up to rounding because
+# the p columns have unit norm and trace(X^T X) = p):
+#
+# 1. Forming and symmetrizing G = fl(X^T X): |G - X^T X| <= (n + 1) eps
+#    |X|^T |X| entrywise, and || |X|^T |X| || <= || |X| ||_F^2 = p, so the
+#    error is at most (n + 1) p eps lambda_max.
+# 2. eigh is backward stable: V = W + F with W exactly orthogonal,
+#    W Lambda W^T = G + E, ||E|| <= c p eps lambda_max, ||F|| <= c p eps.
+# 3. V's loss of orthogonality: V^T (G + E) V = Lambda + K Lambda + Lambda K^T
+#    + K Lambda K^T with K = F^T W, ||K|| <= ||F||: at most 3 c p eps lambda_max.
+# 4. Householder QR: the product B = fl(X V) is X V plus at most p^2 eps in
+#    norm, and the blocked QR returns the exact R of B + D with
+#    ||d_j|| <= c (n + p) p eps ||b_j|| per column (Higham, Accuracy and
+#    Stability of Numerical Algorithms, Thm 19.4: c (m + p) p eps for a block
+#    of m rows stacked under the running p x p factor, summed over the
+#    blocks; the sum stays below c (n + p) p eps only while p <= _QR_ROWS, so
+#    wider designs are never certified).  So R^T R - B^T B is at most
+#    3 c (n + p) p eps s s^T entrywise, with s_j = ||b_j|| and
+#    ||s||^2 = trace(B^T B) ~ p: at most 3 c (n + p) p^2 eps in norm.
+#
+# Together R^T R = Lambda + Delta with ||Delta|| <= delta = C (n + p) p^2 eps
+# lambda_max, where C = 10 covers the modest constants c of these bounds.  The
+# Schur complement of the leading k - 1 block of R^T R gives
+#
+#     |R_kk^2 / lambda_k - 1| <= ||Delta|| / lambda_k
+#                                + ||Delta||^2 / (lambda_k (lambda_min - ||Delta||)),
+#
+# so with t = delta / lambda_min <= 1e-3, guaranteed by the guard
+# _RANK_GUARD = 1000 C, |R_kk^2 / lambda_k - 1| <= t + t^2 / (1 - t) < 1.002e-3
+# and |R_kk / sigma_k - 1| < 5.1e-4.  The bound is loose: on normal designs
+# with one near-duplicate column, (n, p) from (50, 5) to (20000, 50) and
+# (3000, 200) and lambda_min from 4e-15 to 0.9, |R_kk / sigma_k - 1| stayed
+# below 6 eps / lambda_min.
+_RANK_GUARD = 1e4
 
 # Memory one request may hold where it grows with an option, and what one
 # chisq_mixture_compare call holds per trial (tracemalloc peak over trials:
@@ -289,18 +333,41 @@ def _pad_orthonormal(
     return out
 
 
+def _spectrum_certifies_rank(values: np.ndarray, n: int) -> bool:
+    """Whether the descending Gram eigenvalues of an n-row design clear the
+    ``_RANK_GUARD`` test, so that the QR rank test would keep all p directions."""
+    p = values.size
+    if p > _QR_ROWS:
+        return False
+    guard = _RANK_GUARD * (n + p) * p * p * np.finfo(float).eps * values[0]
+    return bool(values[-1] >= guard)
+
+
+def _qr_ratios(a: np.ndarray, vk: np.ndarray, sigma_k: np.ndarray) -> np.ndarray:
+    """|R_jj| / sigma_j for the triangular factor R of ``a @ vk``.
+
+    |R_jj| is the norm of X V_j less its projection onto X V_0 .. X V_{j-1}.
+    R is accumulated over blocks of ``_QR_ROWS`` rows, so no n x k product is
+    held.
+    """
+    r = np.empty((0, vk.shape[1]))
+    for start in range(0, a.shape[0], _QR_ROWS):
+        r = np.linalg.qr(np.vstack([r, a[start:start + _QR_ROWS] @ vk]), mode="r")
+    return np.abs(np.diagonal(r)) / sigma_k
+
+
 def _gram_route(x: SampleMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Singular values and right vectors of :func:`svd`, with the rank decided.
 
     Read from the design's one eigendecomposition, ``x.gram.eigen``:
     sigma_k = sqrt(lambda_k).  The rank is the first k at which X V_k
     collapses: |R_kk| / sigma_k < 0.5, where R is the triangular factor of
-    X V (|R_kk| is the norm of X V_k less its projection onto X V_0 .. X V_{k-1}).
-    Directions with sigma_k <= 1e-12 are not tested; they and every one from
-    the rank on are exact zeros in the returned singular values.  R is accumulated
-    over blocks of ``_QR_ROWS`` rows, so no n x p product is held, and no
-    left vector is built.  Callers read the memoized ``x._svd_parts``
-    instead of calling this again.
+    X V (see :func:`_qr_ratios`).  Directions with sigma_k <= 1e-12 are not
+    tested; they and every one from the rank on are exact zeros in the
+    returned singular values.  When every sigma_k clears that cutoff and the
+    spectrum passes :func:`_spectrum_certifies_rank`, no ratio can fall below
+    0.5, so the rank is p and X is not read again.  No left vector is built.
+    Callers read the memoized ``x._svd_parts`` instead of calling this again.
     """
     a = x.entries
     n, p = a.shape
@@ -309,13 +376,12 @@ def _gram_route(x: SampleMatrix) -> tuple[np.ndarray, np.ndarray]:
     sigma = np.sqrt(np.maximum(dec.values, 0.0))
 
     k = int(np.count_nonzero(sigma > SINGULAR_VALUE_CUTOFF))
-    vk = v[:, :k]
-    r = np.empty((0, k))
-    for start in range(0, n, _QR_ROWS):
-        r = np.linalg.qr(np.vstack([r, a[start:start + _QR_ROWS] @ vk]), mode="r")
-    # A collapsed sigma_k is eigensolver noise: the direction has no real mass.
-    collapsed = np.flatnonzero(np.abs(np.diagonal(r)) / sigma[:k] < 0.5)
-    rank = int(collapsed[0]) if collapsed.size else k
+    if k == p and _spectrum_certifies_rank(dec.values, n):
+        rank = p
+    else:
+        # A collapsed sigma_k is eigensolver noise: the direction has no real mass.
+        collapsed = np.flatnonzero(_qr_ratios(a, v[:, :k], sigma[:k]) < 0.5)
+        rank = int(collapsed[0]) if collapsed.size else k
 
     sigma_out = np.zeros(p)
     sigma_out[:rank] = sigma[:rank]

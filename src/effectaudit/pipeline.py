@@ -166,8 +166,8 @@ def _parse_body(lines: list[str], width: int) -> np.ndarray:
     as row 1.
     """
     n = len(lines)
-    body = "".join(lines)
-    if body.isascii() and "_" not in body:
+    # Line by line, so the test holds no copy of the body.
+    if all(map(str.isascii, lines)) and not any("_" in line for line in lines):
         try:
             with warnings.catch_warnings():
                 # e.g. "input contained no data" on an all-blank body
@@ -205,6 +205,7 @@ def load_csv(data: bytes) -> Dataset:
         raise TooFewRowsError(f"need at least {MIN_ROWS} data rows, got {len(lines) - 1}")
     width = len(header)
     values = _parse_body(lines[1:], width)
+    del lines  # release the line strings before Dataset copies the columns
     return Dataset(
         column_names=tuple(header),
         columns=tuple(values[:, j] for j in range(width)),

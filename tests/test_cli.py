@@ -59,6 +59,21 @@ def test_check_claims_vacuous_exit_zero(capsys):
     assert payload["claims"]["base_requirement"]["vacuous"] is True
 
 
+@pytest.mark.parametrize("tau,degenerate", [("0.5", False), ("0.4999999999999999", True)])
+def test_check_claims_tau_at_sqrt_two_eps(capsys, tau, degenerate):
+    # sqrt(2 eps) is exactly 0.5 at eps = 0.125; one ulp below it the
+    # multi-outcome requirement degenerates
+    code, out, err = run(
+        capsys, "check-claims", "--tau", tau, "--p", "3", "--eps", "0.125", "--format", "json"
+    )
+    assert code == 0 and err == ""
+    req = json.loads(out)["claims"]["multi_outcome_requirement"]
+    assert req["degenerate"] is degenerate
+    assert req["vacuous"] is True
+    if not degenerate:
+        assert req["threshold"] == 0.0
+
+
 def test_check_claims_violated_exit_one(capsys, tmp_path):
     cross = tmp_path / "identity.csv"
     cross.write_text("a,b,c\n1,0,0\n0,1,0\n0,0,1\n")

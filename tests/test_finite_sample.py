@@ -29,6 +29,8 @@ from effectaudit.finite_sample import (
     _gram_route,
     _ks_statistic,
     _law_sum_sq_batches,
+    _qr_ratios,
+    _spectrum_certifies_rank,
 )
 from effectaudit.errors import (
     ConstantVectorError,
@@ -254,6 +256,106 @@ def test_rank_rule_every_column_duplicated(n, p):
     assert np.all(sv[1:] == 0.0)
 
 
+def forced_qr():
+    """Make every rank decision run the blocked QR, whatever the spectrum says."""
+    return mock.patch.object(finite_sample, "_spectrum_certifies_rank", return_value=False)
+
+
+def counted_qr():
+    return mock.patch("numpy.linalg.qr", wraps=np.linalg.qr)
+
+
+def guard_ratio(n: int, p: int) -> float:
+    """lambda_min / lambda_max at the certificate's guard."""
+    return finite_sample._RANK_GUARD * (n + p) * p * p * np.finfo(float).eps
+
+
+@given(
+    n=st.integers(min_value=2, max_value=5000),
+    p=st.integers(min_value=1, max_value=12),
+    copies=st.integers(min_value=0, max_value=2),
+    log_noise=st.sampled_from([None, -9.0, -5.0, -3.0, -2.0, -1.0]),
+    rows=st.sampled_from([1, 7, 64, _QR_ROWS]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_spectrum_certificate_agrees_with_the_qr(n, p, copies, log_noise, rows, seed):
+    p = min(p, n - 1)
+    copies = min(copies, p - 1)
+    noise = 0.0 if log_noise is None else 10.0**log_noise
+    x = near_singular_design(n, p, copies, noise, seed)
+    want = gram_schmidt_route(x)[0]
+    assert np.array_equal(x.singular_values, want)
+    with forced_qr(), mock.patch.object(finite_sample, "_QR_ROWS", rows):
+        assert np.array_equal(_gram_route(x)[0], want)
+    values = x.gram.eigen.values
+    if not _spectrum_certifies_rank(values, n):
+        return
+    # certified: the QR keeps every direction, within the derivation's bound
+    ratios = _qr_ratios(x.entries, x.gram.eigen.vectors, np.sqrt(values))
+    delta = 10 * (n + p) * p * p * np.finfo(float).eps * values[0]  # C = 10
+    t = delta / values[-1]
+    assert t <= 1e-3
+    assert np.all(np.abs(ratios**2 - 1.0) <= t + t * t / (1.0 - t))
+    assert np.all(np.abs(ratios - 1.0) <= 1e-3)
+
+
+def correlated_pair_design(n: int, p: int, rho: float, seed: int) -> SampleMatrix:
+    """Orthonormal standardized columns, the last one turned to correlation
+    rho with the first: Gram eigenvalues 1 + rho, 1 - rho and p - 2 ones."""
+    raw = np.random.default_rng(seed).standard_normal((n, p))
+    u = np.linalg.qr(raw - raw.mean(axis=0))[0]
+    u[:, -1] = rho * u[:, 0] + math.sqrt(1.0 - rho * rho) * u[:, -1]
+    return SampleMatrix(u)
+
+
+@pytest.mark.parametrize("n,p", [(50, 2), (300, 5), (_QR_ROWS + 1, 4)])
+@pytest.mark.parametrize("side", [1 + 1e-3, 1 - 1e-3], ids=["above", "below"])
+def test_guard_boundary_decides_the_route(n, p, side):
+    # lambda_min / lambda_max = (1 - rho) / (1 + rho) = side * guard ratio
+    g = side * guard_ratio(n, p)
+    x = correlated_pair_design(n, p, (1.0 - g) / (1.0 + g), seed=n + p)
+    values = x.gram.eigen.values
+    assert values[-1] / values[0] == pytest.approx(g, rel=1e-4)
+    with counted_qr() as qr:
+        sv = x.singular_values
+    if side > 1:
+        assert qr.call_count == 0
+    else:
+        assert qr.call_count == -(-n // _QR_ROWS)
+    assert np.array_equal(sv, gram_schmidt_route(x)[0])
+    assert np.count_nonzero(sv) == p
+
+
+def test_guard_is_inclusive_and_holds_only_for_p_up_to_a_row_block():
+    n, p = 100, 3
+    guard = guard_ratio(n, p) * 2.0
+    assert _spectrum_certifies_rank(np.array([2.0, 1.0, guard]), n)
+    assert not _spectrum_certifies_rank(np.array([2.0, 1.0, np.nextafter(guard, 0.0)]), n)
+    assert _spectrum_certifies_rank(np.ones(_QR_ROWS), 10**4)
+    assert not _spectrum_certifies_rank(np.ones(_QR_ROWS + 1), 10**4)
+
+
+# Full-rank designs the spectrum certifies, with the QR forced so that it is
+# still checked across row blocks.
+FORCED_QR_DESIGNS = [d for d in BLOCK_DESIGNS if d[3] == 0] + [
+    ("full_rank", 50, 6, 0),
+    ("full_rank_blocks", 2 * _QR_ROWS + 1, 6, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "name,n,p,copies", FORCED_QR_DESIGNS, ids=[d[0] for d in FORCED_QR_DESIGNS]
+)
+def test_forced_qr_rank_at_row_block_boundaries(name, n, p, copies):
+    x = near_singular_design(n, p, copies, 0.0, seed=n + p)
+    assert _spectrum_certifies_rank(x.gram.eigen.values, n)
+    with forced_qr(), counted_qr() as qr:
+        sv = x.singular_values
+    assert qr.call_count == -(-n // _QR_ROWS)
+    assert np.array_equal(sv, gram_schmidt_route(x)[0])
+
+
 SVD_DESIGNS = [
     ("full_rank", 40, 5, 0, 0.0),
     ("full_rank_blocks", _QR_ROWS + 7, 5, 0, 0.0),
@@ -300,6 +402,20 @@ def test_singular_values_memory_is_one_row_block():
         tracemalloc.stop()
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     assert float(np.sum(sv**2)) == pytest.approx(3.0, abs=1e-8)
+
+
+def test_forced_qr_memory_is_one_row_block():
+    # the spectrum certifies this design; forced, the QR still holds one block
+    x = random_sample_matrix(10**6, 3, np.random.default_rng(909))
+    tracemalloc.start()
+    try:
+        with forced_qr():
+            sv = x.singular_values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert np.array_equal(sv, np.sqrt(x.gram.eigen.values))
 
 
 def test_sum_sq_corr_dual_route_and_spectral_cap():
