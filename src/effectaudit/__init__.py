@@ -48,6 +48,7 @@ from .linear_bounds import (
     ClaimSet,
     RegressionSolution,
     TightnessInstance,
+    claims_cross_mass,
     eigen_bound_check,
     fit_least_squares,
     max_large_coefficients,
@@ -96,6 +97,7 @@ __all__ = [
     "TightnessInstance",
     "vdc_check",
     "eigen_bound_check",
+    "claims_cross_mass",
     "min_cross_mass",
     "multi_outcome_min_mass",
     "multi_outcome_degenerate",

@@ -192,7 +192,7 @@ def _cmd_simulate_sphere(args: argparse.Namespace) -> tuple[DiagnosticReport, in
         n=args.n,
         p=args.p,
         trials=args.trials,
-        singular_values=[float(v) for v in sv],
+        singular_values=sv.tolist(),
         sigma1_sq=float(sv[0] ** 2),
         expected_sum_sq=expected_sum_sq(args.n, args.p),
         mc=mc,

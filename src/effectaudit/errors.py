@@ -110,7 +110,15 @@ class InvalidJointError(EffectAuditError):
 
 
 class ConstantVectorError(EffectAuditError):
-    """Vector is constant and cannot be standardized."""
+    """Vector is constant and cannot be standardized.
+
+    ``rows`` lists the constant rows when several vectors were standardized
+    at once.
+    """
+
+    def __init__(self, message: str, rows: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.rows = rows
 
 
 class NotStandardizedError(EffectAuditError):

@@ -122,8 +122,9 @@ _MIXTURE_BYTES_PER_TRIAL = 64
 MAX_MIXTURE_TRIALS = MEMORY_BUDGET // _MIXTURE_BYTES_PER_TRIAL
 
 # What simulate-sphere holds per cell of its random n x p design (the raw
-# draw, its standardized copy and the Gram route; tracemalloc peak through
-# the CLI over n * p: 32-33 bytes at n * p = 10^6 to 3 * 10^6, p = 1 to 10).
+# draw, its standardized rows and their C-ordered copy in SampleMatrix;
+# tracemalloc peak through the CLI over n * p: 24-25 bytes at n * p = 10^6
+# to 3 * 10^6, p = 1 to 10, and 32-33 when each column was standardized alone).
 # simulate-sphere refuses a larger design than fits.
 _SPHERE_BYTES_PER_CELL = 64
 MAX_SPHERE_CELLS = MEMORY_BUDGET // _SPHERE_BYTES_PER_CELL
@@ -170,10 +171,11 @@ class SampleMatrix:
         means = a.mean(axis=0)
         if np.any(np.abs(means) > COLUMN_MEAN_TOLERANCE):
             raise NotStandardizedError("columns are not centered")
-        norms = np.linalg.norm(a, axis=0)
+        norms = np.sqrt(np.einsum("ij,ij->j", a, a))  # no n x p temporary
         if np.any(np.abs(norms - 1.0) > COLUMN_NORM_TOLERANCE):
             raise NotStandardizedError("columns do not have unit norm")
-        a = np.array(a)
+        # C order: the Gram product's bits depend on the layout.
+        a = np.array(a, order="C")
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 
@@ -183,8 +185,7 @@ class SampleMatrix:
         d = np.asarray(data, dtype=float)
         if d.ndim != 2:
             raise InvalidShapeError(f"expected 2-D data, got shape {d.shape}")
-        cols = [standardize(d[:, j]).values for j in range(d.shape[1])]
-        return cls(np.column_stack(cols))
+        return cls(standardize(d.T, rows=True).T)
 
     @property
     def n(self) -> int:
@@ -287,20 +288,47 @@ class RunningMoments:
         return self.std / math.sqrt(self.count)
 
 
-def standardize(x: np.ndarray) -> StandardizedVector:
+def standardize(x: np.ndarray, *, rows: bool = False):
     """Center and scale to unit norm; idempotent on already-standardized input.
 
-    Raises :class:`ConstantVectorError` when the centered vector's norm is at
-    most 1e-14 times the input's norm (constant vectors, including zero).
+    Returns a :class:`StandardizedVector` for a 1-D ``x``.  With
+    ``rows=True``, ``x`` is a (k, n) array whose rows are standardized at
+    once into a new C-ordered (k, n) array, which is returned; each row gets
+    the same bits as a 1-D call on it.  Raises :class:`ConstantVectorError`
+    when a centered vector's norm is at most 1e-14 times the input's norm
+    (constant vectors, including zero); its ``rows`` lists every such row.
     """
+    if rows:
+        a = np.array(x, dtype=float, order="C")
+        if a.ndim != 2 or a.shape[1] < 2:
+            raise InvalidShapeError(f"expected (k, n) rows with n >= 2, got shape {a.shape}")
+        return _standardize_rows(a)
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise InvalidShapeError(f"expected a 1-D vector of length >= 2, got shape {v.shape}")
-    centered = v - v.mean()
-    norm = float(np.linalg.norm(centered))
-    if norm <= CONSTANT_REL_TOLERANCE * float(np.linalg.norm(v)):
-        raise ConstantVectorError("vector is constant up to rounding")
-    return StandardizedVector(centered / norm)
+    return StandardizedVector(_standardize_rows(np.array(v[np.newaxis], order="C"))[0])
+
+
+def _standardize_rows(a: np.ndarray) -> np.ndarray:
+    """Standardize each row of a C-ordered (k, n) float array in place.
+
+    A contiguous row's mean is numpy's pairwise sum, and its norm is
+    ``sqrt(np.dot(r, r))``, which is what ``np.linalg.norm`` computes for 1-D
+    input, so every row gets the bits of standardizing it alone.
+    """
+    means = a.mean(axis=1)
+    raw_norms = np.sqrt(list(map(np.dot, a, a)))
+    a -= means[:, np.newaxis]
+    norms = np.sqrt(list(map(np.dot, a, a)))
+    constant = np.flatnonzero(norms <= CONSTANT_REL_TOLERANCE * raw_norms)
+    if constant.size:
+        if a.shape[0] == 1:
+            raise ConstantVectorError("vector is constant up to rounding", rows=(0,))
+        raise ConstantVectorError(
+            f"rows {constant.tolist()} are constant up to rounding", rows=tuple(constant.tolist())
+        )
+    a /= norms[:, np.newaxis]
+    return a
 
 
 def _pad_orthonormal(

@@ -178,6 +178,24 @@ def min_cross_mass(p: int, tau: float) -> float:
     return p * (tau**2 * p - 1.0)
 
 
+def claims_cross_mass(tau: np.ndarray) -> float:
+    """Cross-correlation mass forced by claims |corr(X_i, y)| >= tau_i.
+
+    The sum bound sum_i |corr(X_i, y)| <= sqrt(p + mass) gives
+    mass >= (sum_i tau_i)^2 - p, which uses every claim and is never below
+    ``min_cross_mass(p, min(tau))``.  Equal claims are computed by that
+    function's formula, p (tau^2 p - 1), so their value does not depend on a
+    summation order.  Returned unclipped, like :func:`min_cross_mass`.
+    """
+    t = np.asarray(tau, dtype=float)
+    lo, hi = float(t.min()), float(t.max())
+    if lo == hi:
+        return min_cross_mass(t.size, lo)
+    if not (0.0 <= lo and hi <= 1.0):  # NaN fails too
+        raise TauOutOfRangeError(hi if 0.0 <= lo else lo)
+    return float(t.sum()) ** 2 - t.size
+
+
 def multi_outcome_min_mass(p: int, tau: float, eps: float) -> float:
     """Cross-correlation mass forced by claims on p nearly-identical outcomes.
 

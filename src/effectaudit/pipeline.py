@@ -13,7 +13,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,9 +44,9 @@ from .linear_bounds import (
     BoundKind,
     BoundReport,
     ClaimSet,
+    claims_cross_mass,
     eigen_bound_check,
     fit_least_squares,
-    min_cross_mass,
     multi_outcome_degenerate,
     multi_outcome_min_mass,
     vdc_check,
@@ -74,37 +74,62 @@ MIN_ROWS = 3
 _CLAIM_BYTES = 256
 MAX_CLAIMS = MEMORY_BUDGET // _CLAIM_BYTES
 
+# What reading a joint file through json.loads holds per byte of file
+# (tracemalloc peak of load_joint_json over the file size: 7.9-8.5 with
+# json.dumps' default separators at k = 2 to 18 variables and 1-27 MB, 12.6
+# and 13.3 at k = 1 with 10^5 atoms; 4.6-5.4 indented).  A file that the
+# compact reader declines is refused above MAX_JSON_JOINT_BYTES.
+_JSON_JOINT_BYTES = 16
+MAX_JSON_JOINT_BYTES = MEMORY_BUDGET // _JSON_JOINT_BYTES
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Named numeric columns of equal length, no missing or non-finite cells."""
+    """Named numeric columns of equal length, no missing or non-finite cells.
+
+    ``columns`` is given as one 1-D array per name or as a (width, n) array.
+    The values are kept in one read-only C-ordered (width, n) ``table``, and
+    ``columns`` becomes the tuple of its rows.
+    """
 
     column_names: tuple[str, ...]
     columns: tuple[np.ndarray, ...]
+    table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.column_names) != len(self.columns):
             raise DimensionMismatchError("names and columns differ in count")
-        cols = []
-        for c in self.columns:
-            a = np.array(np.asarray(c, dtype=float))
-            if a.ndim != 1:
-                raise InvalidShapeError("columns must be 1-D")
-            if not np.all(np.isfinite(a)):
-                raise InvalidShapeError("columns must be finite")
-            a.flags.writeable = False
-            cols.append(a)
-        lengths = {c.size for c in cols}
-        if len(lengths) != 1:
-            raise DimensionMismatchError("columns differ in length")
-        if cols[0].size < MIN_ROWS:
-            raise TooFewRowsError(f"need at least {MIN_ROWS} rows, got {cols[0].size}")
+        try:
+            table = np.array(self.columns, dtype=float, order="C")
+        except (TypeError, ValueError):  # ragged, or cells that are not numbers
+            table = None
+        if table is None or table.ndim != 2:
+            _raise_column_fault(self.columns)
+        if not np.isfinite(table).all():
+            raise InvalidShapeError("columns must be finite")
+        if table.shape[1] < MIN_ROWS:
+            raise TooFewRowsError(f"need at least {MIN_ROWS} rows, got {table.shape[1]}")
+        table.flags.writeable = False
         object.__setattr__(self, "column_names", tuple(self.column_names))
-        object.__setattr__(self, "columns", tuple(cols))
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "columns", tuple(table))
 
     @property
     def n(self) -> int:
-        return self.columns[0].size
+        return self.table.shape[1]
+
+
+def _raise_column_fault(columns) -> None:
+    """Raise the first fault of columns that do not form a (width, n) table,
+    checking them one by one in order: not 1-D, then not finite, then a
+    length that differs."""
+    for c in columns:
+        a = np.asarray(c, dtype=float)
+        if a.ndim != 1:
+            raise InvalidShapeError("columns must be 1-D")
+        if not np.all(np.isfinite(a)):
+            raise InvalidShapeError("columns must be finite")
+    raise DimensionMismatchError("columns differ in length")
 
 
 @dataclass(frozen=True)
@@ -203,13 +228,9 @@ def load_csv(data: bytes) -> Dataset:
         raise CsvParseError(1, header.index(dupe) + 1, f"duplicate column name {echo(repr(dupe))}")
     if len(lines) - 1 < MIN_ROWS:
         raise TooFewRowsError(f"need at least {MIN_ROWS} data rows, got {len(lines) - 1}")
-    width = len(header)
-    values = _parse_body(lines[1:], width)
-    del lines  # release the line strings before Dataset copies the columns
-    return Dataset(
-        column_names=tuple(header),
-        columns=tuple(values[:, j] for j in range(width)),
-    )
+    values = _parse_body(lines[1:], len(header))
+    del lines  # release the line strings before Dataset copies the table
+    return Dataset(column_names=tuple(header), columns=values.T)
 
 
 def load_csv_file(path: str | os.PathLike) -> Dataset:
@@ -495,16 +516,26 @@ def load_joint_json(path: str | os.PathLike) -> tuple[DiscreteJoint, int]:
 
     A file in the compact layout is read by ``_read_compact_joint``; every
     other file, and a compact one whose joint is invalid, through ``json.loads``,
-    which gives the same joint or raises the error.  JSON booleans are
+    which gives the same joint or raises the error.  A file larger than
+    ``MAX_JSON_JOINT_BYTES`` is refused before ``json.loads`` reads it (a
+    compact one raises its own joint's error instead).  JSON booleans are
     rejected wherever an integer or number is expected.
     """
     compact = _read_compact_joint(path)
+    size = os.stat(path).st_size
     if compact is not None:
         sizes, outcome, idx, probs = compact
         try:
             return DiscreteJoint(sizes, atoms=idx, probs=probs), outcome
         except InvalidJointError:
-            pass
+            if size > MAX_JSON_JOINT_BYTES:
+                raise
+    if size > MAX_JSON_JOINT_BYTES:
+        raise InvalidJointError(
+            f"{os.fspath(path)}: {size} bytes is over the {MAX_JSON_JOINT_BYTES}-byte cap "
+            f"for a joint file not in the compact layout; a file written by "
+            f"json.dumps(obj, separators=(\",\", \":\")) has no such cap"
+        )
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     raw = _json_loads(text, path)
@@ -581,14 +612,17 @@ def audit_dataset(ds: Dataset, cfg: AuditConfig) -> DiagnosticReport:
     if ds.n <= p:
         raise InvalidShapeError(f"need more rows than predictors: n={ds.n}, p={p}")
 
-    std_cols = []
-    for i in pred_idx + [y_idx]:
-        try:
-            std_cols.append(standardize(ds.columns[i]).values)
-        except ConstantVectorError:
-            raise ConstantColumnError(ds.column_names[i]) from None
-    x = SampleMatrix(np.column_stack(std_cols[:-1]))
-    y_std = std_cols[-1]
+    try:
+        rows = standardize(ds.table, rows=True)
+    except ConstantVectorError as exc:
+        first = next(i for i in pred_idx + [y_idx] if i in exc.rows)
+        raise ConstantColumnError(ds.column_names[first]) from None
+    y_std = rows[y_idx].copy()
+    # The predictors' rows: a view when the outcome is last, else a copy that
+    # frees the full set before SampleMatrix copies X.
+    rows = rows[:p] if y_idx == p else rows[pred_idx]
+    x = SampleMatrix(rows.T)
+    del rows
 
     corr_xy = x.entries.T @ y_std
     cross = validate_correlation(x.gram, cfg.psd_tolerance)
@@ -608,15 +642,15 @@ def audit_dataset(ds: Dataset, cfg: AuditConfig) -> DiagnosticReport:
         p=p,
         outcome=ds.column_names[y_idx],
         predictors=[ds.column_names[i] for i in pred_idx],
-        predictor_correlations=[[float(v) for v in row] for row in cross.entries],
-        outcome_correlations=[float(v) for v in corr_xy],
-        spectrum=[float(v) for v in spectrum],
+        predictor_correlations=cross.entries.tolist(),
+        outcome_correlations=corr_xy.tolist(),
+        spectrum=spectrum.tolist(),
         vdc=vdc,
         eigen=eigen,
         regression=regression,
-        beta=[float(v) for v in fit.beta],
+        beta=fit.beta.tolist(),
         lambda_min=fit.lambda_min,
-        singular_values=[float(v) for v in sv],
+        singular_values=sv.tolist(),
         sigma1_sq=float(sv[0] ** 2),
         expected_sum_sq=expected_sum_sq(ds.n, p),
         mc=mc,
@@ -638,16 +672,16 @@ def audit_claims(claims: ClaimSet, eps: float | None = None) -> DiagnosticReport
     """Check whether a set of claimed correlation magnitudes is jointly feasible.
 
     Without a cross matrix the report states the cross-correlation mass the
-    claims force (using the weakest claim, so the requirement is valid for
-    heterogeneous claim sets); claims are infeasible outright only when the
-    required average |cross-correlation| exceeds 1.  With a cross matrix the
+    claims force, (sum_i tau_i)^2 - p (see :func:`claims_cross_mass`); claims
+    are infeasible outright only when the required average
+    |cross-correlation| exceeds 1.  With a cross matrix the
     sum and eigenvalue bounds are checked directly.  When ``eps`` is given the
     nearly-identical-outcomes variant is reported as well; it never enters the
     verdict when degenerate (tau_min < sqrt(2 eps)).
     """
     p = claims.p
     tau_min = float(np.min(claims.tau))
-    base_mass = min_cross_mass(p, tau_min)
+    base_mass = claims_cross_mass(claims.tau)
     base_avg, base_vac, base_feasible = _mass_requirement(base_mass, p)
 
     mo_req = None
@@ -693,7 +727,7 @@ def audit_claims(claims: ClaimSet, eps: float | None = None) -> DiagnosticReport
 
     section = ClaimsSection(
         p=p,
-        tau=[float(v) for v in claims.tau],
+        tau=claims.tau.tolist(),
         tau_min=tau_min,
         eps=None if eps is None else float(eps),
         cross_supplied=claims.cross is not None,

@@ -5,7 +5,8 @@ nulls in JSON so the schema never changes shape.  JSON rendering is strict
 (never NaN or Infinity), deterministic (fixed key order, shortest-round-trip
 floats), and ``parse_report(render_report(r)) == r`` exactly.  One encoder and
 one decoder walk the dataclasses; ``_JSON_PATH`` places the few fields whose
-JSON position differs from their dataclass position.
+JSON position differs from their dataclass position.  ``_json_text`` writes
+the exact bytes of ``json.dumps(..., indent=2, allow_nan=False)``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .finite_sample import MonteCarloEstimate
 from .info_bounds import MIReport
-from .linear_bounds import BoundReport
+from .linear_bounds import FEASIBILITY_TOLERANCE, BoundReport
 
 TOOL_NAME = "effectaudit"
 
@@ -51,7 +52,7 @@ class MassRequirement:
 
     cross_mass: float
     avg_abs_cross: float | None  # cross_mass / (p (p-1)); None when p == 1
-    vacuous: bool  # requirement is <= 0: compatible with uncorrelated variables
+    vacuous: bool  # requirement is <= 0: the sum bound forces no cross mass
     feasible: bool  # average |cross-correlation| <= 1 is achievable
 
 
@@ -188,8 +189,12 @@ def _json_fields(cls: type) -> tuple[tuple, ...]:
 
 
 def _to_dict(obj) -> dict:
-    """JSON object of a report dataclass.  List fields pass through as they are:
-    converting their floats one by one would triple the render time."""
+    """JSON object of a report dataclass, in the ``_JSON_PATH`` layout.
+
+    Nested dataclasses, enums and tuples are converted; list fields pass
+    through as they are, since the report builders fill them from
+    ``ndarray.tolist()`` with Python floats already.
+    """
     out: dict = {}
     for name, path, encode, _, _ in _json_fields(type(obj)):
         v = getattr(obj, name)
@@ -255,8 +260,17 @@ def render_text(r: DiagnosticReport) -> str:
         c = r.claims
         lines.append(f"claims: p = {c.p}, tau_min = {_fmt(c.tau_min)}")
         req = c.base_requirement
-        if req.vacuous:
+        # Uncorrelated variables (cross = I, lambda_max = 1) allow exactly
+        # sum tau_i^2 <= 1, by the eigenvalue bound; for equal claims that
+        # is the vacuous mass requirement.
+        sum_sq = math.fsum(t * t for t in c.tau)
+        if req.vacuous and sum_sq <= 1.0 + FEASIBILITY_TOLERANCE:
             lines.append("  claims are compatible with uncorrelated variables")
+        elif req.vacuous:
+            lines.append(
+                f"  claims force no cross-correlation mass, but sum tau^2 = {_fmt(sum_sq)} > 1: "
+                f"not compatible with uncorrelated variables"
+            )
         else:
             lines.append(
                 f"  claims jointly require cross-correlation mass >= {_fmt(req.cross_mass)}"
@@ -346,10 +360,89 @@ def render_text(r: DiagnosticReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Defer(Exception):
+    """Raised by :func:`_write_json` on what it leaves to ``json.dumps``."""
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write_json(o, out: list[str], nl: str) -> None:
+    """Append the ``json.dumps(o, indent=2)`` text of ``o`` to ``out``.
+
+    ``nl`` is the newline and indent of ``o``'s own level.  Values are tested
+    in the order of ``json``'s encoder: str, None, True, False, int, float
+    (subclasses too, written by ``int.__repr__`` and ``float.__repr__``),
+    list or tuple, dict.  A list of exact floats is joined in one call once
+    its sum shows every value finite.  Raises ``_Defer`` on a non-finite
+    float, a key that is not a str, or a value of any other type.
+    """
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        if not math.isfinite(o):
+            raise _Defer
+        out.append(float.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if set(map(type, o)) == {float} and math.isfinite(sum(o)):
+            out.append("[" + inner + ("," + inner).join(map(float.__repr__, o)) + nl + "]")
+            return
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write_json(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            if not isinstance(k, str):
+                raise _Defer
+            out.append(sep + _quote(k) + ": ")
+            _write_json(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise _Defer
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte.
+
+    For ``indent`` other than None, ``json`` runs its pure-Python encoder;
+    :func:`_write_json` writes the same bytes faster.  What it defers (a
+    non-finite float, a non-str key, another type) and nesting too deep for
+    it go to ``json.dumps`` itself, which writes them or raises its own error:
+    a ``ValueError`` naming the value for NaN and infinity.
+    """
+    out: list[str] = []
+    try:
+        _write_json(obj, out, "\n")
+    except (_Defer, RecursionError):
+        return json.dumps(obj, indent=2, allow_nan=False)
+    return "".join(out)
+
+
 def render_report(r: DiagnosticReport, output_format: str = "json") -> str:
     """Serialize a report; 'json' round-trips losslessly, 'text' is for humans."""
     if output_format == "json":
-        return json.dumps({"tool": TOOL_NAME, **_to_dict(r)}, indent=2, allow_nan=False) + "\n"
+        return _json_text({"tool": TOOL_NAME, **_to_dict(r)}) + "\n"
     if output_format == "text":
         return render_text(r)
     raise ValueError(f"output format must be 'json' or 'text', got {output_format!r}")

@@ -99,6 +99,21 @@ def test_check_claims_file_with_eps_override(capsys, tmp_path):
     assert payload["claims"]["multi_outcome_requirement"]["cross_mass"] == pytest.approx(6.0)
 
 
+def test_check_claims_without_cross_no_longer_reads_as_uncorrelated(capsys, tmp_path):
+    # The same claims against the identity matrix are infeasible (exit 1).
+    claims = tmp_path / "claims.json"
+    claims.write_text(json.dumps({"tau": [0.2] + [0.6] * 9}))
+    code, out, _ = run(capsys, "check-claims", "--claims", str(claims))
+    assert code == 0
+    assert "compatible with uncorrelated variables" not in out
+    assert "average |cross-correlation| >= 0.2373" in out
+    identity = tmp_path / "identity.csv"
+    identity.write_text(",".join(f"x{i}" for i in range(10)) + "\n" + "".join(
+        ",".join("1" if i == j else "0" for j in range(10)) + "\n" for i in range(10)))
+    code, out, _ = run(capsys, "check-claims", "--claims", str(claims), "--cross", str(identity))
+    assert code == 1 and "INFEASIBLE" in out
+
+
 def test_check_claims_conflicting_sources_exit_two(capsys, tmp_path):
     claims = tmp_path / "claims.json"
     claims.write_text(json.dumps({"tau": [0.5]}))
@@ -691,3 +706,31 @@ def test_cached_parser_carries_no_state_between_requests(tmp_path):
     assert sequence[4][0] == 2 and "invalid int value" in sequence[4][2]
     alone = [run_fresh([argv])[0] for argv in requests]
     assert sequence == alone + alone[:1]
+
+
+def test_mi_check_json_route_refuses_a_file_over_its_cap(capsys, tmp_path):
+    # A sparse file of zero bytes: the compact reader declines it, and
+    # json.loads would hold about 16 bytes per byte of it.
+    joint = tmp_path / "joint.json"
+    with open(joint, "wb") as fh:
+        fh.truncate(pipeline.MAX_JSON_JOINT_BYTES + 1)
+    code, out, err = run(capsys, "mi-check", str(joint))
+    assert code == 2 and out == ""
+    assert (
+        f"{pipeline.MAX_JSON_JOINT_BYTES + 1} bytes is over the "
+        f"{pipeline.MAX_JSON_JOINT_BYTES}-byte cap for a joint file not in the compact layout"
+    ) in err
+    assert 'json.dumps(obj, separators=(",", ":"))' in err
+
+
+def test_mi_check_json_route_cap_is_inclusive(capsys, tmp_path, monkeypatch):
+    # At the cap the file is read, and its own fault is reported.
+    monkeypatch.setattr(pipeline, "MAX_JSON_JOINT_BYTES", 64)
+    joint = tmp_path / "joint.json"
+    joint.write_text(json.dumps({"alphabet_sizes": [2], "outcome_index": 0}).ljust(64))
+    assert os.path.getsize(joint) == 64
+    code, _, err = run(capsys, "mi-check", str(joint))
+    assert code == 2 and "missing 'atoms'" in err
+    joint.write_text(json.dumps({"alphabet_sizes": [2], "outcome_index": 0}).ljust(65))
+    code, _, err = run(capsys, "mi-check", str(joint))
+    assert code == 2 and "65 bytes is over the 64-byte cap" in err

@@ -69,6 +69,41 @@ def test_standardize_rejects_constant_and_bad_shape():
         standardize(np.array([1.0]))
 
 
+def standardize_one(v: np.ndarray) -> np.ndarray:
+    """The per-vector standardization that batched rows must reproduce bit for bit."""
+    centered = v - v.mean()
+    return centered / float(np.linalg.norm(centered))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 127, 128, 129, 200, 1000, 8191, 8192, 8193, 65537])
+@pytest.mark.parametrize("k", [1, 3, 21])
+def test_batched_standardize_matches_each_row_alone_bit_for_bit(n, k):
+    rng = np.random.default_rng(n * 100 + k)
+    # offsets and scales far from 0 and 1, so centering and scaling round
+    raw = rng.standard_normal((k, n)) * rng.uniform(0.1, 1e3, (k, 1)) + rng.uniform(-1e4, 1e4, (k, 1))
+    got = standardize(raw, rows=True)
+    assert got.shape == (k, n) and got.flags.c_contiguous
+    assert not np.shares_memory(got, raw)
+    want = np.stack([standardize_one(r) for r in raw])
+    assert got.tobytes() == want.tobytes()
+    # one column of an n x k design, strided, as from_raw once took it
+    for j in range(k):
+        assert standardize(raw.T[:, j]).values.tobytes() == want[j].tobytes()
+    if n > k:
+        assert SampleMatrix.from_raw(raw.T).entries.tobytes() == np.column_stack(want).tobytes()
+
+
+def test_batched_standardize_names_every_constant_row():
+    raw = np.array([[1.0, 2.0, 4.0], [3.0, 3.0, 3.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ConstantVectorError) as exc:
+        standardize(raw, rows=True)
+    assert exc.value.rows == (1, 3)
+    with pytest.raises(InvalidShapeError):
+        standardize(np.ones(5), rows=True)
+    with pytest.raises(InvalidShapeError):
+        standardize(np.ones((4, 1)), rows=True)
+
+
 def sample_corr(x: np.ndarray, y: np.ndarray) -> float:
     """Sample correlation as the inner product of standardized vectors."""
     return float(np.dot(standardize(x).values, standardize(y).values))

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from effectaudit import (
     ClaimSet,
     SecondMomentMatrix,
     SymMatrix,
+    claims_cross_mass,
     eigen_bound_check,
     equicorrelation,
     fit_least_squares,
@@ -19,7 +22,7 @@ from effectaudit import (
     tightness_instance,
     vdc_check,
 )
-from effectaudit.errors import DimensionMismatchError, EntryOutOfRangeError
+from effectaudit.errors import DimensionMismatchError, EntryOutOfRangeError, TauOutOfRangeError
 from effectaudit.linear_bounds import BoundKind
 
 from test_matrix_core import random_correlation
@@ -74,6 +77,26 @@ def test_min_cross_mass_values():
     assert min_cross_mass(100, 0.2) == pytest.approx(300.0, abs=1e-9)
     # p=10, tau=0.1: vacuous, 10 (0.1 - 1) = -9
     assert min_cross_mass(10, 0.1) == pytest.approx(-9.0, abs=1e-9)
+
+
+def test_claims_cross_mass_uses_every_claim():
+    assert claims_cross_mass(np.array([0.2] + [0.6] * 9)) == pytest.approx(21.36, abs=1e-12)
+    assert claims_cross_mass(np.array([1.0, 0.1])) == pytest.approx(1.21 - 2, abs=1e-15)
+    for bad in ([0.5, 1.5], [-0.1, 0.5], [math.nan, 0.5]):
+        with pytest.raises(TauOutOfRangeError):
+            claims_cross_mass(np.array(bad))
+
+
+@pytest.mark.parametrize("p,tau", [(1, 0.0), (4, 0.3), (12, 0.3), (10, 0.1), (7, 1 / 3), (1000, 0.7)])
+def test_claims_cross_mass_of_equal_claims_is_min_cross_mass_bit_for_bit(p, tau):
+    assert claims_cross_mass(np.full(p, tau)) == min_cross_mass(p, tau)
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_claims_cross_mass_is_never_below_the_weakest_claims(tau):
+    t = np.array(tau)
+    bound = min_cross_mass(t.size, float(t.min()))
+    assert claims_cross_mass(t) >= bound - 1e-12 * max(1.0, abs(bound))
 
 
 def test_min_cross_mass_zero_at_quarter_point():

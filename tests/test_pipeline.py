@@ -46,6 +46,7 @@ from effectaudit.errors import (
     ConstantColumnError,
     CorrelationValidationError,
     CsvParseError,
+    DimensionMismatchError,
     InvalidJointError,
     InvalidShapeError,
     MissingValueError,
@@ -53,8 +54,25 @@ from effectaudit.errors import (
     TooFewRowsError,
     UnknownColumnError,
 )
-from effectaudit.finite_sample import MonteCarloEstimate
+from effectaudit import report as report_module
+from effectaudit.finite_sample import (
+    MonteCarloEstimate,
+    SampleMatrix,
+    expected_sum_sq,
+    expected_sum_sq_mc,
+)
+from effectaudit.linear_bounds import (
+    BoundKind,
+    BoundReport,
+    eigen_bound_check,
+    fit_least_squares,
+    vdc_check,
+)
+from effectaudit.matrix_core import SecondMomentMatrix, validate_correlation
 from effectaudit.pipeline import _parse_body, _parse_cell
+from effectaudit.report import DatasetAuditSection
+
+from test_finite_sample import standardize_one
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 BOUNDARY_CSV = os.path.join(HERE, "data", "boundary.csv")
@@ -786,6 +804,26 @@ def test_compact_reader_memory_is_the_file_and_the_result(tmp_path):
     assert peak <= size + 8 * (k + 1) * atoms + 8 * 2**20, f"{peak / size:.2f} bytes per file byte"
 
 
+def test_joint_over_the_json_cap_is_read_only_in_the_compact_layout(tmp_path, monkeypatch):
+    sizes = (5, 5, 5)
+    cells = list(itertools.product(*map(range, sizes)))
+    good = write_compact_joint(tmp_path / "good.json", sizes)
+    bad = tmp_path / "bad.json"  # compact, but its probabilities sum to 1.25
+    bad.write_text(compact_joint_text(sizes, 0, cells, ["0.01"] * len(cells)))
+    loose = tmp_path / "loose.json"  # json.dumps' default separators
+    loose.write_text(json.dumps(json.loads(good.read_text())))
+    bad_message = json_loads_outcome(bad)[1]
+    monkeypatch.setattr(pipeline, "MAX_JSON_JOINT_BYTES", 100)
+    assert min(map(os.path.getsize, (good, bad))) >= pipeline._COMPACT_MIN_BYTES
+    assert load_joint_json(good)[0].table.size == len(cells)
+    # the compact route names the fault of an invalid compact joint, not the cap
+    with pytest.raises(InvalidJointError) as exc:
+        load_joint_json(bad)
+    assert str(exc.value) == bad_message and "sum" in bad_message
+    with pytest.raises(InvalidJointError, match="-byte cap for a joint file not in the compact"):
+        load_joint_json(loose)
+
+
 def test_small_joint_files_are_read_by_json_loads(tmp_path):
     path = write_compact_joint(tmp_path / "joint.json", (2, 2))
     assert os.path.getsize(path) < pipeline._COMPACT_MIN_BYTES
@@ -905,6 +943,123 @@ def test_audit_dataset_constant_column_named():
     assert "flat" in str(exc.value)
 
 
+@pytest.mark.parametrize("columns,message", [
+    (([1.0, 2, 3], [1.0, 2, 3, 4]), "columns differ in length"),
+    (([1.0, 2, 3], np.ones((3, 1))), "columns must be 1-D"),
+    (np.ones((2, 3, 1)), "columns must be 1-D"),
+    (([1.0, 2, 3], [1.0, math.inf, 3]), "columns must be finite"),
+    (([1.0, 2, 3], [1.0, math.nan, 3]), "columns must be finite"),
+    (([1.0, 2], [3.0, 4]), "need at least 3 rows, got 2"),
+    # the first fault in column order, as when each column was checked alone
+    (([1.0, math.nan, 3], [1.0, 2]), "columns must be finite"),
+    ((np.ones((3, 1)), [1.0, math.nan, 3]), "columns must be 1-D"),
+    (([1.0, 2], [1.0, 2, 3], [math.nan]), "columns must be finite"),
+    (([1.0, 2, 3], [1.0, 2], [math.nan, 1.0, 2.0]), "columns must be finite"),
+])
+def test_dataset_messages(columns, message):
+    names = tuple(f"c{i}" for i in range(len(columns)))
+    with pytest.raises((InvalidShapeError, DimensionMismatchError, TooFewRowsError)) as exc:
+        Dataset(column_names=names, columns=columns)
+    assert str(exc.value) == message
+    with pytest.raises(DimensionMismatchError, match="names and columns differ in count"):
+        Dataset(column_names=names + ("extra",), columns=columns)
+
+
+def test_dataset_keeps_one_read_only_table_of_its_own():
+    given = np.arange(12.0).reshape(4, 3)
+    for columns in (given.T, tuple(given.T), given.T.tolist()):
+        ds = Dataset(column_names=("a", "b", "c"), columns=columns)
+        assert ds.table.shape == (3, 4) and ds.table.flags.c_contiguous
+        assert not ds.table.flags.writeable and not np.shares_memory(ds.table, given)
+        assert all(np.shares_memory(c, ds.table) for c in ds.columns)
+        assert [c.tolist() for c in ds.columns] == given.T.tolist()
+    assert load_csv(GOOD).table.tolist() == [[1.0, 4, 7, 2], [2.0, 5, 8, 1], [3.0, 6, 10, 0]]
+
+
+def per_column_audit_json(ds: Dataset, cfg: AuditConfig) -> str:
+    """An audit's JSON bytes by the per-column route: each column standardized
+    alone, X stacked from them, the lists built float by float, and the report
+    written by ``json.dumps(indent=2)``."""
+    y_idx = ds.column_names.index(cfg.outcome_column)
+    pred_idx = [i for i in range(len(ds.column_names)) if i != y_idx]
+    cols = [standardize_one(np.array(ds.columns[i])) for i in pred_idx + [y_idx]]
+    x = SampleMatrix(np.column_stack(cols[:-1]))
+    y = cols[-1]
+    corr_xy = x.entries.T @ y
+    cross = validate_correlation(x.gram, cfg.psd_tolerance)
+    fit = fit_least_squares(SecondMomentMatrix(cross.base, cfg.psd_tolerance), corr_xy)
+    sv = x.singular_values
+    section = DatasetAuditSection(
+        n=ds.n,
+        p=len(pred_idx),
+        outcome=ds.column_names[y_idx],
+        predictors=[ds.column_names[i] for i in pred_idx],
+        predictor_correlations=[[float(v) for v in row] for row in cross.entries],
+        outcome_correlations=[float(v) for v in corr_xy],
+        spectrum=[float(v) for v in cross.base.eigen.values],
+        vdc=vdc_check(corr_xy, cross),
+        eigen=eigen_bound_check(corr_xy, cross),
+        regression=BoundReport.from_sides(BoundKind.REGRESSION, fit.norm_sq, fit.bound),
+        beta=[float(v) for v in fit.beta],
+        lambda_min=fit.lambda_min,
+        singular_values=[float(v) for v in sv],
+        sigma1_sq=float(sv[0] ** 2),
+        expected_sum_sq=expected_sum_sq(ds.n, len(pred_idx)),
+        mc=expected_sum_sq_mc(x, cfg.trials, cfg.seed),
+    )
+    rep = DiagnosticReport(version=__version__, mode="dataset-audit", seed=cfg.seed,
+                           dataset=section)
+    obj = {"tool": "effectaudit", **report_module._to_dict(rep)}
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("outcome", ["y", "x7", "x0"])
+def test_audit_report_bytes_match_the_per_column_route(outcome):
+    # The goldens are small; a BLAS that forms X^T X differently for another
+    # layout of X moves report bytes only on larger designs like this one.
+    rng = np.random.default_rng(24)
+    n, p = 2000, 20
+    x = 0.6 * rng.standard_normal((n, 1)) + rng.standard_normal((n, p)) * rng.uniform(0.5, 50, p)
+    y = x @ rng.uniform(-0.5, 0.5, p) + rng.standard_normal(n)
+    names = [f"x{j}" for j in range(p)] + ["y"]
+    text = ",".join(names) + "\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in np.column_stack([x, y]))
+    ds = load_csv(text.encode())
+    cfg = AuditConfig(outcome_column=outcome, trials=3000, seed=7)
+    assert render_report(audit_dataset(ds, cfg), "json") == per_column_audit_json(ds, cfg)
+
+
+def test_audit_dataset_memory_is_two_copies_of_the_table():
+    # The standardized rows, then the predictors' rows and SampleMatrix's X;
+    # the per-column route held three copies.
+    rng = np.random.default_rng(51)
+    n, width = 20_000, 51
+    ds = Dataset(column_names=tuple(f"c{j}" for j in range(width)),
+                 columns=rng.standard_normal((width, n)))
+    cfg = AuditConfig(trials=200)
+    audit_dataset(ds, cfg)
+    tracemalloc.start()
+    try:
+        audit_dataset(ds, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * ds.table.nbytes, f"{peak / ds.table.nbytes:.2f} tables"
+
+
+def test_audit_dataset_names_a_constant_predictor_before_a_constant_outcome():
+    # the outcome comes first in the table, but predictors are named first
+    ds = Dataset(
+        column_names=("y", "a", "flat", "also_flat"),
+        columns=([5.0, 5, 5, 5], [1.0, 2, 3, 5], [2.0, 2, 2, 2], [0.0, 0, 0, 0]),
+    )
+    with pytest.raises(ConstantColumnError, match="'flat'"):
+        audit_dataset(ds, AuditConfig(outcome_column="y", trials=100))
+    with pytest.raises(ConstantColumnError, match="'y'"):
+        audit_dataset(Dataset(column_names=("y", "a"), columns=([5.0, 5, 5, 5], [1.0, 2, 3, 5])),
+                      AuditConfig(outcome_column="y", trials=100))
+
+
 def test_audit_dataset_shape_guards():
     ds = Dataset(
         column_names=("a", "b", "c", "y"),
@@ -932,10 +1087,47 @@ def test_audit_claims_twelve_at_03_fixture():
     assert not req.vacuous and req.feasible and rep.claims.feasible
 
 
-def test_audit_claims_heterogeneous_uses_weakest():
+def test_audit_claims_heterogeneous_uses_every_claim():
+    # (0.9 + 0.3 + 0.5)^2 - 3, not the weakest claim's 3 (0.09 * 3 - 1)
     rep = audit_claims(ClaimSet(tau=np.array([0.9, 0.3, 0.5])))
     assert rep.claims.tau_min == pytest.approx(0.3)
-    assert rep.claims.base_requirement.cross_mass == pytest.approx(3 * (0.09 * 3 - 1))
+    assert rep.claims.base_requirement.cross_mass == pytest.approx(1.7**2 - 3, abs=1e-12)
+
+
+CONTRADICTION = [0.2] + [0.6] * 9  # compatible with uncorrelated variables by tau_min alone
+
+
+def test_audit_claims_without_cross_agree_with_the_identity():
+    # With cross = I the claims are infeasible (vdc 5.6 > sqrt(10), eigen
+    # 3.28 > 1), so without it they must not read as compatible with I.
+    req = audit_claims(ClaimSet(tau=np.array(CONTRADICTION))).claims.base_requirement
+    assert req.cross_mass == pytest.approx(5.6**2 - 10, abs=1e-12)
+    assert req.avg_abs_cross == pytest.approx(21.36 / 90, abs=1e-12)
+    assert not req.vacuous
+    identity = audit_claims(ClaimSet(tau=np.array(CONTRADICTION), cross=equicorrelation(10, 0.0)))
+    assert not identity.claims.feasible
+
+
+@pytest.mark.parametrize("tau,compatible", [
+    (CONTRADICTION, False),
+    ([1.0, 0.1], False),  # sum bound vacuous (1.1 < sqrt 2), but sum tau^2 = 1.01
+    ([0.7, 0.7], True),   # sum tau^2 = 0.98
+    ([0.6, 0.8], True),   # sum tau^2 = 1 up to rounding
+    ([0.5] * 4, True),
+])
+def test_compatible_sentence_follows_sum_of_squares(tau, compatible):
+    text = render_report(audit_claims(ClaimSet(tau=np.array(tau))), "text")
+    assert ("compatible with uncorrelated variables" in text
+            and "not compatible" not in text) == compatible
+    fits_identity = audit_claims(
+        ClaimSet(tau=np.array(tau), cross=equicorrelation(len(tau), 0.0))
+    ).claims.eigen.satisfied
+    assert fits_identity == compatible
+
+
+def test_compatible_sentence_names_the_sum_of_squares():
+    text = render_report(audit_claims(ClaimSet(tau=np.array([1.0, 0.1]))), "text")
+    assert "claims force no cross-correlation mass, but sum tau^2 = 1.01 > 1" in text
 
 
 def test_audit_claims_with_cross_violation():
