@@ -29,7 +29,6 @@ from .finite_sample import (
     chisq_mixture_compare,
     expected_sum_sq,
     expected_sum_sq_mc,
-    random_sample_matrix,
     standardize,
     sum_sq_corr,
     svd,
@@ -120,7 +119,6 @@ __all__ = [
     "standardize",
     "svd",
     "sum_sq_corr",
-    "random_sample_matrix",
     "expected_sum_sq",
     "expected_sum_sq_mc",
     "chisq_mixture_compare",

@@ -26,11 +26,12 @@ from .effect_models import (
 from .errors import EffectAuditError
 from .finite_sample import (
     MAX_MIXTURE_TRIALS,
-    MAX_SPHERE_CELLS,
+    MAX_SPHERE_N,
+    MAX_SPHERE_P,
     chisq_mixture_compare,
     expected_sum_sq,
     expected_sum_sq_mc,
-    random_sample_matrix,
+    sphere_singular_values,
     svd,  # not called here; benchmarks/spans.py wraps the name where cli binds it
 )
 from .info_bounds import mi_piranha_check
@@ -171,12 +172,10 @@ def _cmd_check_claims(args: argparse.Namespace) -> tuple[DiagnosticReport, int]:
 def _cmd_simulate_sphere(args: argparse.Namespace) -> tuple[DiagnosticReport, int]:
     if args.n <= args.p or args.p < 1:
         raise EffectAuditError(f"need n > p >= 1, got n={args.n}, p={args.p}")
-    if args.n * args.p > MAX_SPHERE_CELLS:
-        # The design is drawn dense; refuse before drawing it.
-        raise EffectAuditError(
-            f"--n times --p must be at most {MAX_SPHERE_CELLS}, "
-            f"got {args.n} x {args.p} = {args.n * args.p}"
-        )
+    if args.p > MAX_SPHERE_P:  # refused before any p x p array is drawn
+        raise EffectAuditError(f"--p must be at most {MAX_SPHERE_P}, got {args.p}")
+    if args.n > MAX_SPHERE_N:
+        raise EffectAuditError(f"--n must be at most {MAX_SPHERE_N:.0e}, got {args.n}")
     if args.trials > MAX_MIXTURE_TRIALS:
         # The KS comparison holds every trial; refuse before drawing anything.
         raise EffectAuditError(
@@ -184,10 +183,9 @@ def _cmd_simulate_sphere(args: argparse.Namespace) -> tuple[DiagnosticReport, in
         )
     _check_seed(args.seed)
     seed_matrix, seed_mc, seed_ks = _stage_seeds(args.seed, 3)
-    x = random_sample_matrix(args.n, args.p, np.random.default_rng(seed_matrix))
-    mc = expected_sum_sq_mc(x, args.trials, seed_mc)
-    ks = chisq_mixture_compare(x, args.trials, seed_ks)
-    sv = x.singular_values
+    sv = sphere_singular_values(args.n, args.p, np.random.default_rng(seed_matrix))
+    mc = expected_sum_sq_mc(sv, args.n, args.trials, seed_mc)
+    ks = chisq_mixture_compare(sv, args.n, args.trials, seed_ks)
     section = SphereSection(
         n=args.n,
         p=args.p,

@@ -27,16 +27,17 @@ scipy's ``ks_2samp(...).statistic`` bit for bit, including the exact-mode
 rounding to a multiple of 1/lcm(n1, n2) when neither sample has more than
 10000 values.
 
-The singular values come from the design's one Gram-matrix eigendecomposition.
-When its smallest eigenvalue clears a guard derived from the rounding errors
-involved, that spectrum alone certifies full rank; otherwise the rank is
-decided by a QR of X V accumulated over fixed row blocks.  Either way reading
-them holds no n x p array beyond the data.  Left singular vectors are built
-only by :func:`svd`, on request.
+The singular values are the square roots of the eigenvalues of X^T X, which an
+audit reads from one Gram product of its standardized table.  When the smallest
+clears a guard derived from the rounding errors involved, that spectrum alone
+certifies full rank; otherwise the rank is decided by a QR of X V accumulated
+over fixed row blocks, so no n x p array is held beyond the data.  The sphere
+simulation draws a random design's spectrum by Bartlett's decomposition, in
+O(p^2) draws whatever n is.  Only :func:`svd` builds left singular vectors.
 
 This module provides the exact pieces (standardize, svd, sum_sq_corr) and the
-stochastic ones (mean estimation, a chi-square mixture comparison), all
-deterministic for a fixed seed.
+stochastic ones (a random spectrum, mean estimation, a chi-square mixture
+comparison), all deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -54,12 +55,21 @@ from .errors import (
     InvalidShapeError,
     NotStandardizedError,
 )
-from .matrix_core import SymMatrix
+from .matrix_core import EigenDecomposition, SymMatrix
 
 COLUMN_MEAN_TOLERANCE = 1e-10
 COLUMN_NORM_TOLERANCE = 1e-10
 CONSTANT_REL_TOLERANCE = 1e-14
 SINGULAR_VALUE_CUTOFF = 1e-12
+
+# numpy's pairwise mean of a row a errs by at most (log2 n + 14) u ||a|| / sqrt(n)
+# (u = eps / 2), so one centering pass leaves a component along the all-ones
+# direction of s <= (log2 n + 16) u ||a|| / ||centered a||.  That moves a correlation
+# of two such rows by at most s_1^2 + s_2^2 + s_1 s_2 <= 3 max(s)^2, within eps
+# while s <= sqrt(eps / 3).  Rows whose bound exceeds that, only those with means
+# above a few 10^6 sd, are centered again (the corrected two-pass algorithm of
+# Chan, Golub and LeVeque, 1983).
+_RECENTER = np.finfo(float).eps / 2 / math.sqrt(np.finfo(float).eps / 3)
 
 # Trials per vectorized batch in the Monte Carlo loops.  Part of the
 # determinism contract: a fixed seed always replays the same batch
@@ -121,13 +131,12 @@ MEMORY_BUDGET = 2**30
 _MIXTURE_BYTES_PER_TRIAL = 64
 MAX_MIXTURE_TRIALS = MEMORY_BUDGET // _MIXTURE_BYTES_PER_TRIAL
 
-# What simulate-sphere holds per cell of its random n x p design (the raw
-# draw, its standardized rows and their C-ordered copy in SampleMatrix;
-# tracemalloc peak through the CLI over n * p: 24-25 bytes at n * p = 10^6
-# to 3 * 10^6, p = 1 to 10, and 32-33 when each column was standardized alone).
-# simulate-sphere refuses a larger design than fits.
-_SPHERE_BYTES_PER_CELL = 64
-MAX_SPHERE_CELLS = MEMORY_BUDGET // _SPHERE_BYTES_PER_CELL
+# simulate-sphere holds p x p arrays, then two _BATCH x p batches of draws,
+# whatever n is (tracemalloc peak through the CLI: 32 bytes per p^2 at p = 2000,
+# 16 per _BATCH * p at p = 1000), about 540 MB at MAX_SPHERE_P; its chi-square
+# draws of up to n - 1 degrees of freedom stay finite far below MAX_SPHERE_N.
+MAX_SPHERE_P = 4095
+MAX_SPHERE_N = 10**300
 
 # Largest sample for which scipy's ks_2samp (method "auto") computes the
 # exact p-value, rounding the statistic to a multiple of 1/lcm(n1, n2).
@@ -154,9 +163,7 @@ class StandardizedVector:
 class SampleMatrix:
     """n x p data matrix whose columns are standardized, with n > p >= 1.
 
-    The Gram matrix and the Gram-route factors behind :func:`svd` (singular
-    values with the rank applied, and right vectors) are computed on first
-    use and kept, so every consumer of one design shares them.
+    The Gram matrix is computed on first use and kept.
     """
 
     entries: np.ndarray
@@ -179,14 +186,6 @@ class SampleMatrix:
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 
-    @classmethod
-    def from_raw(cls, data: np.ndarray) -> "SampleMatrix":
-        """Standardize each column of raw data."""
-        d = np.asarray(data, dtype=float)
-        if d.ndim != 2:
-            raise InvalidShapeError(f"expected 2-D data, got shape {d.shape}")
-        return cls(standardize(d.T, rows=True).T)
-
     @property
     def n(self) -> int:
         return self.entries.shape[0]
@@ -200,15 +199,6 @@ class SampleMatrix:
     def gram(self) -> SymMatrix:
         """X^T X, exactly symmetrized: the columns' sample correlation matrix."""
         return SymMatrix.symmetrized(self.entries.T @ self.entries)
-
-    @cached_property
-    def _svd_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        return _gram_route(self)
-
-    @property
-    def singular_values(self) -> np.ndarray:
-        """The descending, read-only singular values of :func:`svd`, without its left vectors."""
-        return self._svd_parts[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,7 +304,8 @@ def _standardize_rows(a: np.ndarray) -> np.ndarray:
 
     A contiguous row's mean is numpy's pairwise sum, and its norm is
     ``sqrt(np.dot(r, r))``, which is what ``np.linalg.norm`` computes for 1-D
-    input, so every row gets the bits of standardizing it alone.
+    input, so every row gets the bits of standardizing it alone.  A row whose
+    mean may survive one centering pass (see ``_RECENTER``) is centered again.
     """
     means = a.mean(axis=1)
     raw_norms = np.sqrt(list(map(np.dot, a, a)))
@@ -327,6 +318,9 @@ def _standardize_rows(a: np.ndarray) -> np.ndarray:
         raise ConstantVectorError(
             f"rows {constant.tolist()} are constant up to rounding", rows=tuple(constant.tolist())
         )
+    for i in np.flatnonzero(_RECENTER * (math.log2(a.shape[1]) + 16) * raw_norms > norms):
+        a[i] -= a[i].mean()
+        norms[i] = math.sqrt(np.dot(a[i], a[i]))
     a /= norms[:, np.newaxis]
     return a
 
@@ -371,57 +365,51 @@ def _spectrum_certifies_rank(values: np.ndarray, n: int) -> bool:
     return bool(values[-1] >= guard)
 
 
-def _qr_ratios(a: np.ndarray, vk: np.ndarray, sigma_k: np.ndarray) -> np.ndarray:
-    """|R_jj| / sigma_j for the triangular factor R of ``a @ vk``.
+def _qr_ratios(rows: np.ndarray, pred, vk: np.ndarray, sigma_k: np.ndarray) -> np.ndarray:
+    """|R_jj| / sigma_j for the triangular factor R of X V_k, X^T = ``rows[pred]``.
 
     |R_jj| is the norm of X V_j less its projection onto X V_0 .. X V_{j-1}.
-    R is accumulated over blocks of ``_QR_ROWS`` rows, so no n x k product is
-    held.
+    R is accumulated over blocks of ``_QR_ROWS`` rows of X; no n x p array is held.
     """
     r = np.empty((0, vk.shape[1]))
-    for start in range(0, a.shape[0], _QR_ROWS):
-        r = np.linalg.qr(np.vstack([r, a[start:start + _QR_ROWS] @ vk]), mode="r")
+    for start in range(0, rows.shape[1], _QR_ROWS):
+        r = np.linalg.qr(np.vstack([r, rows[pred, start:start + _QR_ROWS].T @ vk]), mode="r")
     return np.abs(np.diagonal(r)) / sigma_k
 
 
-def _gram_route(x: SampleMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and right vectors of :func:`svd`, with the rank decided.
-
-    Read from the design's one eigendecomposition, ``x.gram.eigen``:
-    sigma_k = sqrt(lambda_k).  The rank is the first k at which X V_k
+def _gram_route(rows: np.ndarray, pred, dec: EigenDecomposition) -> np.ndarray:
+    """Singular values sigma_k = sqrt(lambda_k) of X, with the rank decided:
+    X^T = ``rows[pred]`` (``pred`` a slice or a list) and ``dec`` is the
+    eigendecomposition of X^T X.  The rank is the first k at which X V_k
     collapses: |R_kk| / sigma_k < 0.5, where R is the triangular factor of
     X V (see :func:`_qr_ratios`).  Directions with sigma_k <= 1e-12 are not
-    tested; they and every one from the rank on are exact zeros in the
-    returned singular values.  When every sigma_k clears that cutoff and the
-    spectrum passes :func:`_spectrum_certifies_rank`, no ratio can fall below
-    0.5, so the rank is p and X is not read again.  No left vector is built.
-    Callers read the memoized ``x._svd_parts`` instead of calling this again.
+    tested; they and every one from the rank on are exact zeros.  When the
+    spectrum also passes :func:`_spectrum_certifies_rank`, no ratio can fall
+    below 0.5, so the rank is p and ``rows`` is not read.
     """
-    a = x.entries
-    n, p = a.shape
-    dec = x.gram.eigen
+    p = dec.values.size
     v = dec.vectors
     sigma = np.sqrt(np.maximum(dec.values, 0.0))
 
     k = int(np.count_nonzero(sigma > SINGULAR_VALUE_CUTOFF))
-    if k == p and _spectrum_certifies_rank(dec.values, n):
+    if k == p and _spectrum_certifies_rank(dec.values, rows.shape[1]):
         rank = p
     else:
         # A collapsed sigma_k is eigensolver noise: the direction has no real mass.
-        collapsed = np.flatnonzero(_qr_ratios(a, v[:, :k], sigma[:k]) < 0.5)
+        collapsed = np.flatnonzero(_qr_ratios(rows, pred, v[:, :k], sigma[:k]) < 0.5)
         rank = int(collapsed[0]) if collapsed.size else k
 
     sigma_out = np.zeros(p)
     sigma_out[:rank] = sigma[:rank]
     sigma_out.flags.writeable = False
-    return sigma_out, v
+    return sigma_out
 
 
 def svd(x: SampleMatrix) -> SvdFactorization:
     """Singular value decomposition via the p x p Gram matrix.
 
-    Singular values, right vectors and the rank are the design's memoized
-    Gram-route factors: right vectors come from the symmetric eigensolver on
+    Singular values, right vectors and the rank come from the design's
+    memoized Gram matrix: right vectors come from the symmetric eigensolver on
     X^T X (n > p, small p), and directions whose singular value falls below
     1e-12, or whose X V_k collapses (the Gram route cannot resolve singular
     values near sqrt(machine eps)), are reported as exact zeros.  Left vectors
@@ -429,7 +417,8 @@ def svd(x: SampleMatrix) -> SvdFactorization:
     signs making diag(R) positive (the Gram-Schmidt orthonormalization of
     X V_k / sigma_k), followed by an orthonormal completion for the zeros.
     """
-    sigma, v = x._svd_parts
+    v = x.gram.eigen.vectors
+    sigma = _gram_route(x.entries.T, slice(None), x.gram.eigen)
     rank = int(np.count_nonzero(sigma))
     q, r = np.linalg.qr(x.entries @ v[:, :rank] / sigma[:rank])
     q *= np.sign(np.diagonal(r))
@@ -450,11 +439,18 @@ def sum_sq_corr(x: SampleMatrix, y: np.ndarray) -> float:
     return float(np.dot(c, c))
 
 
-def random_sample_matrix(n: int, p: int, rng: np.random.Generator) -> SampleMatrix:
-    """Random standardized matrix: independent normal entries, columns standardized."""
-    if p < 1 or n <= p:
-        raise InvalidShapeError(f"need n > p >= 1, got n={n}, p={p}")
-    return SampleMatrix.from_raw(rng.standard_normal((n, p)))
+def sphere_singular_values(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    """Singular values of an n x p design of standard normal entries, each column
+    standardized, drawn in O(p^2) memory: the design's centered cross-product is
+    Wishart_p(n - 1, I), and Bartlett's decomposition draws it as L L^T, with L lower
+    triangular, L_ii = sqrt(chi^2_{n-1-i}) and N(0, 1) below; scaling L's rows to unit
+    norm makes L L^T the correlation matrix.
+    """
+    lower = np.tril(rng.standard_normal((p, p)), -1)
+    lower[np.diag_indices(p)] = np.sqrt(rng.chisquare((n - 1.0) - np.arange(p)))
+    lower /= np.sqrt(np.einsum("ij,ij->i", lower, lower))[:, np.newaxis]
+    values = SymMatrix.symmetrized(lower @ lower.T).eigen.values
+    return np.sqrt(np.maximum(values, 0.0))
 
 
 def _law_sum_sq_batches(
@@ -467,6 +463,8 @@ def _law_sum_sq_batches(
     takes m x p memory.
     """
     p = sigma_sq.size
+    if sigma_sq.ndim != 1 or not 1 <= p < n:
+        raise InvalidShapeError(f"need n > p >= 1 singular values, got n={n}, {sigma_sq.shape}")
     dof = n - 1 - p
     done = 0
     while done < trials:
@@ -487,26 +485,28 @@ def expected_sum_sq(n: int, p: int) -> float:
     return p / (n - 1)
 
 
-def expected_sum_sq_mc(x: SampleMatrix, trials: int, seed: int) -> MonteCarloEstimate:
+def expected_sum_sq_mc(
+    singular_values: np.ndarray, n: int, trials: int, seed: int
+) -> MonteCarloEstimate:
     """Monte Carlo estimate of E(sum_i corr(X_i, y)^2) under sphere-uniform y.
 
     Trials are drawn from the exact law of the statistic (see the module
-    docstring), so the cost is O(trials * p) after the design's one spectral
-    step.  A fixed ``seed`` reproduces the estimate bit for bit.
+    docstring), so the cost is O(trials * p) whatever n is.  A fixed ``seed``
+    reproduces the estimate bit for bit.
     """
     if trials < 2:
         raise InvalidShapeError(f"need at least 2 trials, got {trials}")
-    sigma_sq = x.singular_values ** 2
+    sigma_sq = np.asarray(singular_values, dtype=float) ** 2
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     moments = RunningMoments()
-    for batch in _law_sum_sq_batches(sigma_sq, x.n, trials, rng):
+    for batch in _law_sum_sq_batches(sigma_sq, n, trials, rng):
         moments.update(batch)
     return MonteCarloEstimate(
         mean=moments.mean, stderr=moments.stderr, trials=trials, seed=int(seed)
     )
 
 
-def chisq_mixture_compare(x: SampleMatrix, trials: int, seed: int) -> float:
+def chisq_mixture_compare(singular_values: np.ndarray, n: int, trials: int, seed: int) -> float:
     """Kolmogorov-Smirnov distance between simulated sums and the chi-square mixture.
 
     Compares per-trial values of sum_i corr(X_i, y)^2 under sphere-uniform y,
@@ -522,19 +522,19 @@ def chisq_mixture_compare(x: SampleMatrix, trials: int, seed: int) -> float:
     """
     if trials < 1000:
         raise InvalidShapeError(f"need at least 1000 trials for a stable distance, got {trials}")
+    sigma_sq = np.asarray(singular_values, dtype=float) ** 2
     rng_sim = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     rng_mix = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    sigma_sq = x.singular_values ** 2
     sim = np.empty(trials)
     mix = np.empty(trials)
     done = 0
-    for batch in _law_sum_sq_batches(sigma_sq, x.n, trials, rng_sim):
+    for batch in _law_sum_sq_batches(sigma_sq, n, trials, rng_sim):
         m = batch.size
         sim[done:done + m] = batch
         # Row-major draws: the same values as one (trials, p) draw.
         mix[done:done + m] = rng_mix.chisquare(1.0, size=(m, sigma_sq.size)) @ sigma_sq
         done += m
-    mix /= x.n - 1
+    mix /= n - 1
     return _ks_statistic(sim, mix)
 
 

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .finite_sample import (
     MEMORY_BUDGET,
-    SampleMatrix,
+    _gram_route,
     expected_sum_sq,
     expected_sum_sq_mc,
     standardize,
@@ -473,8 +473,9 @@ def _read_compact_joint(
     """(alphabet sizes, outcome index, atom indices, probabilities) of a joint
     file in the compact layout, or None for any other file.
 
-    Only files of at least ``_COMPACT_MIN_BYTES`` are read.  The atoms array
-    runs from the first ``"atoms":[{"tuple":[`` to the last ``}]``;
+    Only files of at least ``_COMPACT_MIN_BYTES`` are read, one over
+    ``MAX_JSON_JOINT_BYTES`` only that far unless the atoms array opens there.
+    The atoms array runs from the first ``"atoms":[{"tuple":[`` to the last ``}]``;
     everything outside it must be ASCII without a backslash, and is parsed
     by ``json.loads`` with the array replaced by ``[]``.  It must hold
     exactly the three keys, once each, with ``alphabet_sizes`` an array of
@@ -483,9 +484,14 @@ def _read_compact_joint(
     hide there, and within the array it fails the byte tests).
     """
     try:
-        if os.stat(path).st_size < _COMPACT_MIN_BYTES:
+        size = os.stat(path).st_size
+        if size < _COMPACT_MIN_BYTES:
             return None
         with open(path, "rb") as fh:
+            head = fh.read(_COMPACT_MIN_BYTES)
+            if size > MAX_JSON_JOINT_BYTES and _ATOMS_OPEN + _ATOM_OPEN not in head:
+                return None
+            fh.seek(0)  # one read of the whole file, not head + rest copied again
             data = fh.read()
     except OSError:
         return None
@@ -600,9 +606,10 @@ def audit_dataset(ds: Dataset, cfg: AuditConfig) -> DiagnosticReport:
 
     Columns are standardized, so the empirical second-moment matrix of the
     predictors is exactly their sample correlation matrix and the regression
-    bound applies to the standardized coefficients.  Every spectral quantity
-    (PSD check, lambda_max, lambda_min, spectrum, singular values, Monte
-    Carlo weights) comes from the one memoized decomposition of ``x.gram``.
+    bound applies to the standardized coefficients.  One Gram product of the
+    standardized table gives every correlation.  Every spectral quantity (PSD
+    check, lambda_max, lambda_min, spectrum, singular values, Monte Carlo
+    weights) comes from the one decomposition of the predictors' block.
     """
     y_idx = _resolve_outcome(ds, cfg.outcome_column)
     pred_idx = [i for i in range(len(ds.column_names)) if i != y_idx]
@@ -617,15 +624,11 @@ def audit_dataset(ds: Dataset, cfg: AuditConfig) -> DiagnosticReport:
     except ConstantVectorError as exc:
         first = next(i for i in pred_idx + [y_idx] if i in exc.rows)
         raise ConstantColumnError(ds.column_names[first]) from None
-    y_std = rows[y_idx].copy()
-    # The predictors' rows: a view when the outcome is last, else a copy that
-    # frees the full set before SampleMatrix copies X.
-    rows = rows[:p] if y_idx == p else rows[pred_idx]
-    x = SampleMatrix(rows.T)
-    del rows
-
-    corr_xy = x.entries.T @ y_std
-    cross = validate_correlation(x.gram, cfg.psd_tolerance)
+    gram = rows @ rows.T
+    cross = validate_correlation(
+        SymMatrix.symmetrized(gram[np.ix_(pred_idx, pred_idx)]), cfg.psd_tolerance
+    )
+    corr_xy = gram[pred_idx, y_idx]
 
     vdc = vdc_check(corr_xy, cross)
     eigen = eigen_bound_check(corr_xy, cross)
@@ -634,8 +637,8 @@ def audit_dataset(ds: Dataset, cfg: AuditConfig) -> DiagnosticReport:
     regression = BoundReport.from_sides(BoundKind.REGRESSION, fit.norm_sq, fit.bound)
 
     spectrum = cross.base.eigen.values
-    sv = x.singular_values
-    mc = expected_sum_sq_mc(x, cfg.trials, cfg.seed)
+    sv = _gram_route(rows, pred_idx, cross.base.eigen)
+    mc = expected_sum_sq_mc(sv, ds.n, cfg.trials, cfg.seed)
 
     section = DatasetAuditSection(
         n=ds.n,

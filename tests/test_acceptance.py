@@ -24,7 +24,6 @@ from effectaudit import (
     eigen_bound_check,
     fit_least_squares,
     mi_piranha_check,
-    random_sample_matrix,
     standardize,
     sum_sq_corr,
     svd,
@@ -32,6 +31,8 @@ from effectaudit import (
     vdc_check,
 )
 from effectaudit.cli import main
+
+from test_finite_sample import random_sample_matrix
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 KS_FIXTURE = os.path.join(HERE, "data", "ks_threshold.json")

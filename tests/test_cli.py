@@ -171,11 +171,12 @@ def test_simulate_sphere_negative_seed_named(capsys, seed):
     assert f"--seed must be a non-negative integer, got {seed}" in err
 
 
-def test_simulate_sphere_trials_cap_exit_two_before_drawing(capsys, monkeypatch):
-    def no_draw(*_args):
-        raise AssertionError("a design was drawn for a request above the --trials cap")
+def no_draw(*_args):
+    raise AssertionError("a spectrum was drawn for a request above a cap")
 
-    monkeypatch.setattr(cli, "random_sample_matrix", no_draw)
+
+def test_simulate_sphere_trials_cap_exit_two_before_drawing(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sphere_singular_values", no_draw)
     over = cli.MAX_MIXTURE_TRIALS + 1
     argv = ("simulate-sphere", "--n", "50", "--p", "3", "--trials", str(over), "--seed", "1")
     code, out, err = run(capsys, *argv)
@@ -192,44 +193,80 @@ def test_simulate_sphere_trials_cap_is_inclusive(capsys, monkeypatch):
     assert code == 2 and "--trials must be at most 1000, got 1001" in err
 
 
-def test_simulate_sphere_design_cap_exit_two_before_drawing(capsys):
-    n = cli.MAX_SPHERE_CELLS // 3 + 1
-    argv = ("simulate-sphere", "--n", str(n), "--p", "3", "--trials", "1000", "--seed", "1")
-    tracemalloc.start()
-    try:
+def test_simulate_sphere_design_cap_exit_two_before_drawing(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sphere_singular_values", no_draw)
+    p_over, n_over = cli.MAX_SPHERE_P + 1, cli.MAX_SPHERE_N + 1
+    for n, p, message in (
+        (p_over + 1, p_over, f"--p must be at most {cli.MAX_SPHERE_P}, got {p_over}"),
+        (n_over, 3, f"--n must be at most 1e+300, got {n_over}"),
+    ):
+        argv = ("simulate-sphere", "--n", str(n), "--p", str(p), "--trials", "1000", "--seed", "1")
         code, out, err = run(capsys, *argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 2 and out == ""
-    assert f"--n times --p must be at most {cli.MAX_SPHERE_CELLS}, got {n} x 3 = {3 * n}" in err
-    # the design alone would be 8 bytes per cell
-    assert peak < 2**20, f"{peak} bytes held before refusing"
+        assert code == 2 and out == "" and message in err
 
 
 def test_simulate_sphere_design_cap_is_inclusive(capsys, monkeypatch):
-    # a small stand-in cap, so both sides of it run quickly
-    monkeypatch.setattr(cli, "MAX_SPHERE_CELLS", 150)
-    base = ("simulate-sphere", "--p", "3", "--trials", "1000", "--seed", "1")
-    assert run(capsys, *base, "--n", "50")[0] == 0
-    code, _, err = run(capsys, *base, "--n", "51")
-    assert code == 2 and "--n times --p must be at most 150, got 51 x 3 = 153" in err
+    # small stand-in caps, so both sides of them run quickly; the n cap itself
+    # is drawn at 10^300
+    monkeypatch.setattr(cli, "MAX_SPHERE_P", 3)
+    base = ("simulate-sphere", "--n", "50", "--trials", "1000", "--seed", "1")
+    assert run(capsys, *base, "--p", "3")[0] == 0
+    code, _, err = run(capsys, *base, "--p", "4")
+    assert code == 2 and "--p must be at most 3, got 4" in err
+    top = ("simulate-sphere", "--n", str(cli.MAX_SPHERE_N), "--p", "3", "--trials", "1000",
+           "--seed", "1", "--format", "json")
+    code, out, _ = run(capsys, *top)
+    assert code == 0
+    sphere = json.loads(out)["sphere"]
+    assert sphere["n"] == 10**300 and sphere["expected_sum_sq"] == 3e-300
+    assert all(math.isfinite(v) and v > 0 for v in sphere["singular_values"])
 
 
-def test_simulate_sphere_memory_per_design_cell_is_bounded(capsys):
-    # the bytes per cell behind the --n times --p cap; 1000 trials hold ~56 kB
-    n, p = 500_000, 2
-    argv = ["simulate-sphere", "--n", str(n), "--p", str(p), "--trials", "1000", "--seed", "1"]
+def sphere_peak(n: int, p: int, trials: int) -> int:
+    argv = ["simulate-sphere", "--n", str(n), "--p", str(p), "--trials", str(trials), "--seed", "1"]
     tracemalloc.start()
     try:
         code = main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    capsys.readouterr()
     assert code == 0
-    cells = n * p
-    assert peak < finite_sample._SPHERE_BYTES_PER_CELL * cells, f"{peak / cells:.1f} bytes per cell"
+    return peak
+
+
+def test_simulate_sphere_memory_does_not_grow_with_n(capsys):
+    # the spectrum is drawn in O(p^2); an n x p design at n = 10^9 would be 400 GB
+    small, large = sphere_peak(1000, 50, 1000), sphere_peak(10**9, 50, 1000)
+    capsys.readouterr()
+    assert large <= 1.1 * small, f"{large} bytes at n = 10^9, {small} at n = 1000"
+
+
+def test_simulate_sphere_p_cap_keeps_the_memory_budget(capsys):
+    # the bytes behind the --p cap: p x p arrays, then two _BATCH x p batches
+    p = 600
+    peak = sphere_peak(10**6, p, 5000)
+    capsys.readouterr()
+    per_p2, per_batch_p = 40, 20
+
+    def bound(q: int) -> int:
+        return per_p2 * q * q + per_batch_p * finite_sample._BATCH * q
+
+    assert peak <= bound(p), f"{peak} bytes at p = {p}"
+    assert bound(cli.MAX_SPHERE_P) <= finite_sample.MEMORY_BUDGET
+
+
+def test_sample_matrix_is_on_no_cli_path(capsys, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a SampleMatrix was built")
+
+    monkeypatch.setattr(finite_sample.SampleMatrix, "__post_init__", refuse)
+    for argv in (
+        ["audit", BOUNDARY_CSV, "--outcome", "y", "--trials", "500"],
+        ["audit", BOUNDARY_CSV, "--outcome", "x1", "--trials", "500"],
+        ["audit", DUPLICATED_CSV, "--outcome", "y", "--trials", "500"],
+        ["simulate-sphere", "--n", "50", "--p", "3", "--trials", "1000", "--seed", "1"],
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 def test_check_claims_p_cap_exit_two_before_allocating(capsys):
@@ -721,6 +758,31 @@ def test_mi_check_json_route_refuses_a_file_over_its_cap(capsys, tmp_path):
         f"{pipeline.MAX_JSON_JOINT_BYTES}-byte cap for a joint file not in the compact layout"
     ) in err
     assert 'json.dumps(obj, separators=(",", ":"))' in err
+
+
+_MAXRSS_RUNNER = """
+import resource, sys
+from effectaudit.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = main(["mi-check", sys.argv[1]])
+print(code, before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_mi_check_refuses_a_file_over_the_cap_before_reading_it(tmp_path):
+    # Judged by its first bytes and its size: reading the sparse file whole
+    # would raise the high-water mark by 64 MiB.
+    joint = tmp_path / "joint.json"
+    with open(joint, "wb") as fh:
+        fh.truncate(pipeline.MAX_JSON_JOINT_BYTES + 1)
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAXRSS_RUNNER, str(joint)],
+        capture_output=True, text=True, timeout=60, check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    code, before, after = map(int, proc.stdout.split())
+    assert code == 2 and "-byte cap for a joint file not in the compact layout" in proc.stderr
+    assert after - before < 8 * 1024, f"ru_maxrss rose by {after - before} KiB"
 
 
 def test_mi_check_json_route_cap_is_inclusive(capsys, tmp_path, monkeypatch):

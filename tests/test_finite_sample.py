@@ -16,7 +16,6 @@ from effectaudit import (
     chisq_mixture_compare,
     expected_sum_sq,
     expected_sum_sq_mc,
-    random_sample_matrix,
     standardize,
     sum_sq_corr,
     svd,
@@ -31,6 +30,7 @@ from effectaudit.finite_sample import (
     _law_sum_sq_batches,
     _qr_ratios,
     _spectrum_certifies_rank,
+    sphere_singular_values,
 )
 from effectaudit.errors import (
     ConstantVectorError,
@@ -69,6 +69,22 @@ def test_standardize_rejects_constant_and_bad_shape():
         standardize(np.array([1.0]))
 
 
+def sample_matrix_from_raw(data: np.ndarray) -> SampleMatrix:
+    """Standardize each column of raw data into a design."""
+    return SampleMatrix(standardize(np.asarray(data, dtype=float).T, rows=True).T)
+
+
+def random_sample_matrix(n: int, p: int, rng: np.random.Generator) -> SampleMatrix:
+    """Random standardized matrix: independent normal entries, columns
+    standardized.  The n x p oracle behind ``sphere_singular_values``."""
+    return sample_matrix_from_raw(rng.standard_normal((n, p)))
+
+
+def singular_values(x: SampleMatrix) -> np.ndarray:
+    """The singular values that ``svd(x)`` reports, without its left vectors."""
+    return _gram_route(x.entries.T, slice(None), x.gram.eigen)
+
+
 def standardize_one(v: np.ndarray) -> np.ndarray:
     """The per-vector standardization that batched rows must reproduce bit for bit."""
     centered = v - v.mean()
@@ -86,11 +102,11 @@ def test_batched_standardize_matches_each_row_alone_bit_for_bit(n, k):
     assert not np.shares_memory(got, raw)
     want = np.stack([standardize_one(r) for r in raw])
     assert got.tobytes() == want.tobytes()
-    # one column of an n x k design, strided, as from_raw once took it
+    # one column of an n x k design, strided
     for j in range(k):
         assert standardize(raw.T[:, j]).values.tobytes() == want[j].tobytes()
     if n > k:
-        assert SampleMatrix.from_raw(raw.T).entries.tobytes() == np.column_stack(want).tobytes()
+        assert sample_matrix_from_raw(raw.T).entries.tobytes() == np.column_stack(want).tobytes()
 
 
 def test_batched_standardize_names_every_constant_row():
@@ -161,7 +177,7 @@ def test_sample_matrix_validation():
     scaled = random_sample_matrix(10, 3, rng).entries * 1.5
     with pytest.raises(NotStandardizedError):
         SampleMatrix(scaled)
-    m = SampleMatrix.from_raw(raw)
+    m = sample_matrix_from_raw(raw)
     assert (m.n, m.p) == (10, 3)
     assert not m.entries.flags.writeable
 
@@ -236,7 +252,7 @@ def near_singular_design(n: int, p: int, copies: int, noise: float, seed: int) -
     raw = rng.standard_normal((n, p))
     for j in range(p - copies, p):
         raw[:, j] = raw[:, int(rng.integers(0, j))] + noise * rng.standard_normal(n)
-    return SampleMatrix.from_raw(raw)
+    return sample_matrix_from_raw(raw)
 
 
 @given(
@@ -256,7 +272,7 @@ def test_rank_rule_equals_the_gram_schmidt_loop(n, p, copies, log_noise, rows, s
     noise = 0.0 if log_noise is None else 10.0**log_noise
     x = near_singular_design(n, p, copies, noise, seed)
     with mock.patch.object(finite_sample, "_QR_ROWS", rows):
-        got = x.singular_values
+        got = singular_values(x)
     assert np.array_equal(got, gram_schmidt_route(x)[0])
 
 
@@ -275,9 +291,23 @@ BLOCK_DESIGNS = [
 def test_rank_rule_at_row_block_boundaries(name, n, p, copies, noise):
     x = near_singular_design(n, p, copies, noise, seed=n + p)
     want, left = gram_schmidt_route(x)
-    assert np.array_equal(x.singular_values, want)
+    assert np.array_equal(singular_values(x), want)
     if noise == 1e-9:  # exact copies up to rounding: the loop drops them
         assert len(left) == p - copies
+
+
+@pytest.mark.parametrize("name,n,p,copies", BLOCK_DESIGNS, ids=[d[0] for d in BLOCK_DESIGNS])
+@pytest.mark.parametrize("outcome", [0, 1, -1])
+def test_rank_rule_reads_the_predictor_rows_of_a_wider_table(name, n, p, copies, outcome):
+    # as an audit calls it: the design's columns are rows of a table that also
+    # holds the outcome, first, second or last
+    x = near_singular_design(n, p, copies, 1e-9, seed=n + p)
+    y = standardize(np.random.default_rng(n).standard_normal(n)).values
+    table = np.insert(x.entries.T, outcome % (p + 1), y, axis=0)
+    pred = [i for i in range(p + 1) if i != outcome % (p + 1)]
+    with forced_qr():
+        got = _gram_route(table, pred, x.gram.eigen)
+    assert np.array_equal(got, gram_schmidt_route(x)[0])
 
 
 @pytest.mark.parametrize("n", [12, _QR_ROWS + 1])
@@ -285,7 +315,7 @@ def test_rank_rule_at_row_block_boundaries(name, n, p, copies, noise):
 def test_rank_rule_every_column_duplicated(n, p):
     col = standardize(np.random.default_rng(n * p).standard_normal(n)).values
     x = SampleMatrix(np.column_stack([col] * p))
-    sv = x.singular_values
+    sv = singular_values(x)
     assert np.array_equal(sv, gram_schmidt_route(x)[0])
     assert sv[0] == pytest.approx(math.sqrt(p), abs=1e-12)
     assert np.all(sv[1:] == 0.0)
@@ -320,14 +350,14 @@ def test_spectrum_certificate_agrees_with_the_qr(n, p, copies, log_noise, rows, 
     noise = 0.0 if log_noise is None else 10.0**log_noise
     x = near_singular_design(n, p, copies, noise, seed)
     want = gram_schmidt_route(x)[0]
-    assert np.array_equal(x.singular_values, want)
+    assert np.array_equal(singular_values(x), want)
     with forced_qr(), mock.patch.object(finite_sample, "_QR_ROWS", rows):
-        assert np.array_equal(_gram_route(x)[0], want)
+        assert np.array_equal(singular_values(x), want)
     values = x.gram.eigen.values
     if not _spectrum_certifies_rank(values, n):
         return
     # certified: the QR keeps every direction, within the derivation's bound
-    ratios = _qr_ratios(x.entries, x.gram.eigen.vectors, np.sqrt(values))
+    ratios = _qr_ratios(x.entries.T, slice(None), x.gram.eigen.vectors, np.sqrt(values))
     delta = 10 * (n + p) * p * p * np.finfo(float).eps * values[0]  # C = 10
     t = delta / values[-1]
     assert t <= 1e-3
@@ -353,7 +383,7 @@ def test_guard_boundary_decides_the_route(n, p, side):
     values = x.gram.eigen.values
     assert values[-1] / values[0] == pytest.approx(g, rel=1e-4)
     with counted_qr() as qr:
-        sv = x.singular_values
+        sv = singular_values(x)
     if side > 1:
         assert qr.call_count == 0
     else:
@@ -386,7 +416,7 @@ def test_forced_qr_rank_at_row_block_boundaries(name, n, p, copies):
     x = near_singular_design(n, p, copies, 0.0, seed=n + p)
     assert _spectrum_certifies_rank(x.gram.eigen.values, n)
     with forced_qr(), counted_qr() as qr:
-        sv = x.singular_values
+        sv = singular_values(x)
     assert qr.call_count == -(-n // _QR_ROWS)
     assert np.array_equal(sv, gram_schmidt_route(x)[0])
 
@@ -431,7 +461,7 @@ def test_singular_values_memory_is_one_row_block():
     x = random_sample_matrix(10**6, 3, np.random.default_rng(909))
     tracemalloc.start()
     try:
-        sv = x.singular_values
+        sv = singular_values(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -445,7 +475,7 @@ def test_forced_qr_memory_is_one_row_block():
     tracemalloc.start()
     try:
         with forced_qr():
-            sv = x.singular_values
+            sv = singular_values(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -521,7 +551,7 @@ def test_mc_minimal_case_matches_exact_average():
     # but the sphere average is p/(n-1) = 0.5
     rng = np.random.default_rng(8)
     x = random_sample_matrix(3, 1, rng)
-    est = expected_sum_sq_mc(x, trials=20_000, seed=101)
+    est = expected_sum_sq_mc(singular_values(x), x.n, trials=20_000, seed=101)
     assert abs(est.mean - 0.5) < 3.0 * est.stderr
     assert est.trials == 20_000 and est.seed == 101
 
@@ -533,7 +563,7 @@ MC_GRID = [(11, 5, 202), (50, 10, 203), (101, 20, 204)]
 def test_mc_grid_matches_analytic_average(n, p, seed):
     rng = np.random.default_rng(seed)
     x = random_sample_matrix(n, p, rng)
-    est = expected_sum_sq_mc(x, trials=100_000, seed=seed)
+    est = expected_sum_sq_mc(singular_values(x), x.n, trials=100_000, seed=seed)
     z = abs(est.mean - expected_sum_sq(n, p)) / est.stderr
     if z > 3.0:
         pytest.fail(f"MC mean {est.mean} is {z:.1f} sigma from {expected_sum_sq(n, p)}")
@@ -546,10 +576,11 @@ def test_mc_grid_matches_analytic_average(n, p, seed):
 def test_mc_seed_determinism_and_agreement():
     rng = np.random.default_rng(77)
     x = random_sample_matrix(40, 6, rng)
-    one = expected_sum_sq_mc(x, trials=30_000, seed=9)
-    two = expected_sum_sq_mc(random_sample_matrix(40, 6, np.random.default_rng(77)), 30_000, 9)
+    one = expected_sum_sq_mc(singular_values(x), x.n, trials=30_000, seed=9)
+    again = random_sample_matrix(40, 6, np.random.default_rng(77))
+    two = expected_sum_sq_mc(singular_values(again), again.n, 30_000, 9)
     assert one.mean == two.mean and one.stderr == two.stderr  # bit-identical
-    other = expected_sum_sq_mc(x, trials=30_000, seed=10)
+    other = expected_sum_sq_mc(singular_values(x), x.n, trials=30_000, seed=10)
     assert other.mean != one.mean  # different streams
     sigma = math.hypot(one.stderr, other.stderr)
     assert abs(one.mean - other.mean) < 4.0 * sigma
@@ -562,18 +593,23 @@ def test_mc_argument_validation():
     rng = np.random.default_rng(1)
     x = random_sample_matrix(6, 2, rng)
     with pytest.raises(InvalidShapeError):
-        expected_sum_sq_mc(x, trials=1, seed=0)
+        expected_sum_sq_mc(singular_values(x), x.n, trials=1, seed=0)
+    for sigma, n in (([1.0, 1.0], 2), ([], 5), ([[1.0]], 5)):  # n <= p, no values, not 1-D
+        with pytest.raises(InvalidShapeError):
+            expected_sum_sq_mc(np.array(sigma), n, trials=100, seed=0)
+        with pytest.raises(InvalidShapeError):
+            chisq_mixture_compare(np.array(sigma), n, trials=1000, seed=0)
 
 
 def test_chisq_mixture_compare_deterministic_and_small():
     rng = np.random.default_rng(90)
     x = random_sample_matrix(200, 5, rng)
-    d1 = chisq_mixture_compare(x, trials=4000, seed=12)
-    d2 = chisq_mixture_compare(x, trials=4000, seed=12)
+    d1 = chisq_mixture_compare(singular_values(x), x.n, trials=4000, seed=12)
+    d2 = chisq_mixture_compare(singular_values(x), x.n, trials=4000, seed=12)
     assert d1 == d2
     assert 0.0 <= d1 < 0.05  # large-n regime: the mixture is a close fit
     with pytest.raises(InvalidShapeError):
-        chisq_mixture_compare(x, trials=10, seed=0)
+        chisq_mixture_compare(singular_values(x), x.n, trials=10, seed=0)
 
 
 @pytest.mark.parametrize("p", [1, 3, 7, 50])
@@ -583,9 +619,9 @@ def test_chisq_mixture_compare_streams_the_one_shot_draws(p, trials, monkeypatch
     x = random_sample_matrix(60, p, np.random.default_rng(p))
     seen = []
     monkeypatch.setattr(finite_sample, "_ks_statistic", lambda a, b: seen.append((a, b)) or 0.0)
-    chisq_mixture_compare(x, trials, seed=21)
+    chisq_mixture_compare(singular_values(x), x.n, trials, seed=21)
     (sim, mix), = seen
-    sigma_sq = x.singular_values ** 2
+    sigma_sq = singular_values(x) ** 2
     rng_sim = np.random.default_rng(np.random.SeedSequence(21, spawn_key=(0,)))
     rng_mix = np.random.default_rng(np.random.SeedSequence(21, spawn_key=(1,)))
     one_sim = np.concatenate(list(_law_sum_sq_batches(sigma_sq, x.n, trials, rng_sim)))
@@ -599,10 +635,10 @@ def test_chisq_mixture_compare_memory_per_trial_is_bounded():
     # one (trials, p) mixture draw held about 457 bytes per trial here
     x = random_sample_matrix(60, 50, np.random.default_rng(50))
     trials = 10**5
-    x.singular_values
+    sigma = singular_values(x)
     tracemalloc.start()
     try:
-        chisq_mixture_compare(x, trials, seed=3)
+        chisq_mixture_compare(sigma, x.n, trials, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -659,7 +695,7 @@ def test_exact_law_sampler_matches_direct_simulator(name, make):
     # differential test: the O(p) exact-law draws against full sphere draws in R^n
     x = make(np.random.default_rng(314))
     trials = 40_000
-    sigma_sq = _gram_route(x)[0] ** 2
+    sigma_sq = singular_values(x) ** 2
     law = np.concatenate(
         list(_law_sum_sq_batches(sigma_sq, x.n, trials, np.random.default_rng(1)))
     )
@@ -668,6 +704,38 @@ def test_exact_law_sampler_matches_direct_simulator(name, make):
     assert np.all(law >= 0.0) and np.all(law <= svd(x).sigma1_sq * (1.0 + 1e-12))
     result = stats.ks_2samp(law, direct)
     assert result.pvalue > 0.01, f"{name}: KS {result.statistic:.4f}, p={result.pvalue:.3g}"
+
+
+# Ten KS tests (five shapes, two laws) at alpha = 1e-3 each: a correct
+# sampler fails one of them by chance with probability at most 1%.
+BARTLETT_ALPHA = 1e-3
+
+
+@pytest.mark.parametrize("n,p", [(11, 5), (7, 6), (40, 3), (300, 20), (2000, 5)])
+def test_bartlett_spectrum_matches_drawn_designs(n, p):
+    # differential test: lambda_max and lambda_min of the drawn spectrum
+    # against those of n x p designs drawn in full
+    designs = 2000
+    rng_b, rng_d = np.random.default_rng(n + p), np.random.default_rng(n * p)
+    bartlett = np.array([sphere_singular_values(n, p, rng_b) ** 2 for _ in range(designs)])
+    direct = np.array([random_sample_matrix(n, p, rng_d).gram.eigen.values
+                       for _ in range(designs)])
+    for k, law in ((0, "lambda_max"), (-1, "lambda_min")):
+        result = stats.ks_2samp(bartlett[:, k], direct[:, k])
+        assert result.pvalue > BARTLETT_ALPHA, (
+            f"{law} at n={n}, p={p}: KS {result.statistic:.4f}, p={result.pvalue:.3g}")
+
+
+def test_sphere_singular_values_are_a_standardized_spectrum():
+    for n, p in ((2, 1), (7, 6), (10**9, 50), (10**300, 4)):
+        sv = sphere_singular_values(n, p, np.random.default_rng(p))
+        assert sv.shape == (p,) and np.all(np.diff(sv) <= 0.0) and sv[-1] > 0.0
+        # unit diagonal: trace of the correlation matrix is p
+        assert float(np.sum(sv**2)) == pytest.approx(p, rel=1e-12)
+        again = sphere_singular_values(n, p, np.random.default_rng(p))
+        assert sv.tobytes() == again.tobytes()
+    # at n = 10^300 the columns are orthogonal up to rounding
+    assert np.max(np.abs(sv - 1.0)) < 1e-12
 
 
 def test_direct_simulator_draws_do_not_depend_on_batch_size():
@@ -686,7 +754,7 @@ def test_mc_very_large_n_memory_stays_bounded():
     x = random_sample_matrix(n, p, np.random.default_rng(808))
     tracemalloc.start()
     try:
-        est = expected_sum_sq_mc(x, trials=20_000, seed=17)
+        est = expected_sum_sq_mc(singular_values(x), x.n, trials=20_000, seed=17)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -697,7 +765,7 @@ def test_mc_very_large_n_memory_stays_bounded():
 def test_chisq_mixture_compare_is_the_asymptotic_law():
     # at n=11, p=5 the exact law and the large-n mixture differ by construction
     x = random_sample_matrix(11, 5, np.random.default_rng(91))
-    assert chisq_mixture_compare(x, trials=20_000, seed=4) > 0.05
+    assert chisq_mixture_compare(singular_values(x), x.n, trials=20_000, seed=4) > 0.05
 
 
 def _ks_samples(kind: str, n1: int, n2: int, rng: np.random.Generator):

@@ -57,7 +57,7 @@ from effectaudit.errors import (
 from effectaudit import report as report_module
 from effectaudit.finite_sample import (
     MonteCarloEstimate,
-    SampleMatrix,
+    _gram_route,
     expected_sum_sq,
     expected_sum_sq_mc,
 )
@@ -68,7 +68,7 @@ from effectaudit.linear_bounds import (
     fit_least_squares,
     vdc_check,
 )
-from effectaudit.matrix_core import SecondMomentMatrix, validate_correlation
+from effectaudit.matrix_core import SecondMomentMatrix, SymMatrix, validate_correlation
 from effectaudit.pipeline import _parse_body, _parse_cell
 from effectaudit.report import DatasetAuditSection
 
@@ -978,17 +978,18 @@ def test_dataset_keeps_one_read_only_table_of_its_own():
 
 def per_column_audit_json(ds: Dataset, cfg: AuditConfig) -> str:
     """An audit's JSON bytes by the per-column route: each column standardized
-    alone, X stacked from them, the lists built float by float, and the report
-    written by ``json.dumps(indent=2)``."""
+    alone, the correlations read from the Gram matrix of the table they form,
+    the lists built float by float, and the report written by
+    ``json.dumps(indent=2)``."""
     y_idx = ds.column_names.index(cfg.outcome_column)
     pred_idx = [i for i in range(len(ds.column_names)) if i != y_idx]
-    cols = [standardize_one(np.array(ds.columns[i])) for i in pred_idx + [y_idx]]
-    x = SampleMatrix(np.column_stack(cols[:-1]))
-    y = cols[-1]
-    corr_xy = x.entries.T @ y
-    cross = validate_correlation(x.gram, cfg.psd_tolerance)
+    table = np.stack([standardize_one(np.array(c)) for c in ds.columns])
+    gram = table @ table.T
+    corr_xy = np.array([gram[i, y_idx] for i in pred_idx])
+    block = np.array([[gram[i, j] for j in pred_idx] for i in pred_idx])
+    cross = validate_correlation(SymMatrix.symmetrized(block), cfg.psd_tolerance)
     fit = fit_least_squares(SecondMomentMatrix(cross.base, cfg.psd_tolerance), corr_xy)
-    sv = x.singular_values
+    sv = _gram_route(table, pred_idx, cross.base.eigen)
     section = DatasetAuditSection(
         n=ds.n,
         p=len(pred_idx),
@@ -1005,7 +1006,7 @@ def per_column_audit_json(ds: Dataset, cfg: AuditConfig) -> str:
         singular_values=[float(v) for v in sv],
         sigma1_sq=float(sv[0] ** 2),
         expected_sum_sq=expected_sum_sq(ds.n, len(pred_idx)),
-        mc=expected_sum_sq_mc(x, cfg.trials, cfg.seed),
+        mc=expected_sum_sq_mc(sv, ds.n, cfg.trials, cfg.seed),
     )
     rep = DiagnosticReport(version=__version__, mode="dataset-audit", seed=cfg.seed,
                            dataset=section)
@@ -1029,14 +1030,16 @@ def test_audit_report_bytes_match_the_per_column_route(outcome):
     assert render_report(audit_dataset(ds, cfg), "json") == per_column_audit_json(ds, cfg)
 
 
-def test_audit_dataset_memory_is_two_copies_of_the_table():
-    # The standardized rows, then the predictors' rows and SampleMatrix's X;
-    # the per-column route held three copies.
+@pytest.mark.parametrize("outcome", [-1, 0, 25])
+def test_audit_dataset_memory_is_one_copy_of_the_table(outcome):
+    # The standardized rows alone: the Gram product is width x width, and the
+    # rank test reads the predictors' rows a block at a time.  With the
+    # predictors copied out for a design matrix this was two copies.
     rng = np.random.default_rng(51)
     n, width = 20_000, 51
     ds = Dataset(column_names=tuple(f"c{j}" for j in range(width)),
                  columns=rng.standard_normal((width, n)))
-    cfg = AuditConfig(trials=200)
+    cfg = AuditConfig(outcome_column=outcome, trials=200)
     audit_dataset(ds, cfg)
     tracemalloc.start()
     try:
@@ -1044,7 +1047,59 @@ def test_audit_dataset_memory_is_two_copies_of_the_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * ds.table.nbytes, f"{peak / ds.table.nbytes:.2f} tables"
+    assert peak <= 1.25 * ds.table.nbytes, f"{peak / ds.table.nbytes:.2f} tables"
+
+
+def offset_dataset(n: int, width: int, offset: float, spread: float, seed: int) -> Dataset:
+    """Correlated normal columns times ``spread``, each moved by +-``offset``
+    and rounded to float64 there."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((width, n)).T @ rng.standard_normal((width, width)) * spread
+    signs = rng.choice([-1.0, 1.0], width)
+    return Dataset(column_names=tuple(f"c{j}" for j in range(width)),
+                   columns=raw.T + (signs * offset)[:, np.newaxis])
+
+
+@given(
+    k=st.integers(min_value=0, max_value=12),
+    n=st.integers(min_value=5, max_value=300),
+    p=st.integers(min_value=1, max_value=4),
+    outcome=st.sampled_from([0, -1]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_audit_correlations_are_accurate_at_any_offset(k, n, p, outcome, seed):
+    # Reference: the same rounded floats, centered twice and scaled in long
+    # double.  Bound: a dot product of two unit vectors errs by at most
+    # gamma_n < 1.01 n u (u = eps / 2, the unit roundoff), each standardized
+    # entry carries a few u from centering and scaling, and a residual mean
+    # left below the re-centering test moves a correlation by at most eps:
+    # under (1.01 n + 12) u, within (n + 10) eps.  One centering pass erred by
+    # 5.7e-13 at 1e10.
+    ds = offset_dataset(n, p + 1, 10.0**k, 1.0, seed)
+    rep = audit_dataset(ds, AuditConfig(outcome_column=outcome, trials=2)).dataset
+    table = ds.table.astype(np.longdouble)
+    table -= table.mean(axis=1, keepdims=True)
+    table -= table.mean(axis=1, keepdims=True)
+    table /= np.sqrt((table * table).sum(axis=1, keepdims=True))
+    ref = table @ table.T
+    y = outcome % (p + 1)
+    pred = [i for i in range(p + 1) if i != y]
+    tol = (n + 10) * np.finfo(float).eps
+    got_cross = np.array(rep.predictor_correlations, dtype=np.longdouble)
+    assert np.max(np.abs(got_cross - ref[np.ix_(pred, pred)])) <= tol
+    got_xy = np.array(rep.outcome_correlations, dtype=np.longdouble)
+    assert np.max(np.abs(got_xy - ref[pred, y])) <= tol
+
+
+def test_audit_names_a_column_at_an_offset_of_1e14_spreads():
+    # 0.5 around 1e14: the centered norm is about 5e-15 of the raw norm,
+    # within the 1e-14 of rounding that makes a column constant
+    rng = np.random.default_rng(14)
+    a, far, y = rng.standard_normal((3, 200))
+    ds = Dataset(column_names=("a", "far", "y"), columns=(a, 1e14 + 0.5 * far, y))
+    with pytest.raises(ConstantColumnError, match="'far'"):
+        audit_dataset(ds, AuditConfig(outcome_column="y", trials=2))
 
 
 def test_audit_dataset_names_a_constant_predictor_before_a_constant_outcome():

@@ -2,7 +2,10 @@
 
 import ast
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -49,3 +52,24 @@ def test_source_parses_as_python_3_10(name):
     # requires-python is >=3.10; this catches 3.11+ syntax without a 3.10 interpreter.
     with open(os.path.join(SRC, name), encoding="utf-8") as fh:
         ast.parse(fh.read(), filename=name, feature_version=(3, 10))
+
+
+def _strict_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_traced_benchmark_run_ends_with_a_result_holding_every_layer_metric():
+    # A traced run that exits 0 but drops a per-layer metric, or whose last
+    # line is not a result, cannot be compared against another commit.
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "benchmarks", "run.py"), "--workload", "all",
+         "--seed", "1", "--tiny", "--trace", "1", "--seconds", "0.3"],
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_strict_constant)
+    assert result["correct"] is True
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    declared = {f"{w['name']}.{m['name']}" for w in spec["workloads"] for m in spec["per_layer"]}
+    assert set(result["metrics"]) == declared
