@@ -23,14 +23,10 @@ from .effect_models import (
 from .finite_sample import (
     MonteCarloEstimate,
     RunningMoments,
-    SampleMatrix,
-    StandardizedVector,
-    SvdFactorization,
     chisq_mixture_compare,
     expected_sum_sq,
     expected_sum_sq_mc,
     standardize,
-    sum_sq_corr,
     svd,
 )
 from .info_bounds import (
@@ -111,14 +107,10 @@ __all__ = [
     "mi_piranha_check",
     "max_independent_informative",
     # finite sample
-    "SampleMatrix",
-    "StandardizedVector",
-    "SvdFactorization",
     "MonteCarloEstimate",
     "RunningMoments",
     "standardize",
     "svd",
-    "sum_sq_corr",
     "expected_sum_sq",
     "expected_sum_sq_mc",
     "chisq_mixture_compare",

@@ -32,7 +32,6 @@ from .finite_sample import (
     expected_sum_sq,
     expected_sum_sq_mc,
     sphere_singular_values,
-    svd,  # not called here; benchmarks/spans.py wraps the name where cli binds it
 )
 from .info_bounds import mi_piranha_check
 from .linear_bounds import ClaimSet, tightness_instance

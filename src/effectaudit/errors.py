@@ -43,19 +43,26 @@ class EntryOutOfRangeError(EffectAuditError):
         self.value = value
 
 
-class TauOutOfRangeError(EntryOutOfRangeError):
-    """A claimed correlation magnitude tau lies outside [0, 1].
+class ValueOutOfRangeError(EntryOutOfRangeError):
+    """A named argument, or one entry of a named vector, lies outside its range.
 
-    ``index`` is the claim's position in a tau vector, or None for a single
-    tau value.
+    ``index`` is the entry's position in the vector, or None for a single
+    value; ``rule`` states the range, as in "outside [-1, 1]".
     """
 
-    def __init__(self, value: float, index: int | None = None):
-        name = "tau" if index is None else f"tau[{index}]"
-        EffectAuditError.__init__(self, f"{name} = {value!r} outside [0, 1]")
+    def __init__(self, name: str, value: float, rule: str, index: int | None = None):
+        where = name if index is None else f"{name}[{index}]"
+        EffectAuditError.__init__(self, f"{where} = {value!r} {rule}")
         self.row = self.col = index
         self.index = index
         self.value = value
+
+
+class TauOutOfRangeError(ValueOutOfRangeError):
+    """A claimed correlation magnitude tau lies outside [0, 1]."""
+
+    def __init__(self, value: float, index: int | None = None):
+        super().__init__("tau", value, "outside [0, 1]", index)
 
 
 class NotPositiveSemiDefiniteError(EffectAuditError):
@@ -119,10 +126,6 @@ class ConstantVectorError(EffectAuditError):
     def __init__(self, message: str, rows: tuple[int, ...] = ()):
         super().__init__(message)
         self.rows = rows
-
-
-class NotStandardizedError(EffectAuditError):
-    """Matrix columns are not centered unit vectors."""
 
 
 class InvalidShapeError(EffectAuditError):

@@ -28,37 +28,29 @@ rounding to a multiple of 1/lcm(n1, n2) when neither sample has more than
 10000 values.
 
 The singular values are the square roots of the eigenvalues of X^T X, which an
-audit reads from one Gram product of its standardized table.  When the smallest
-clears a guard derived from the rounding errors involved, that spectrum alone
-certifies full rank; otherwise the rank is decided by a QR of X V accumulated
-over fixed row blocks, so no n x p array is held beyond the data.  The sphere
-simulation draws a random design's spectrum by Bartlett's decomposition, in
-O(p^2) draws whatever n is.  Only :func:`svd` builds left singular vectors.
+audit reads from one Gram product of its standardized table; :func:`svd`
+decides how many of them are real.  When the smallest clears a guard derived
+from the rounding errors involved, that spectrum alone certifies full rank;
+otherwise the rank is decided by a QR of X V accumulated over fixed row blocks,
+so no n x p array is held beyond the data.  The sphere simulation draws a
+random design's spectrum by Bartlett's decomposition, in O(p^2) draws whatever
+n is.
 
-This module provides the exact pieces (standardize, svd, sum_sq_corr) and the
-stochastic ones (a random spectrum, mean estimation, a chi-square mixture
-comparison), all deterministic for a fixed seed.
+This module provides the exact pieces (standardize, svd) and the stochastic
+ones (a random spectrum, mean estimation, a chi-square mixture comparison), all
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ConstantVectorError,
-    ConvergenceFailureError,
-    DimensionMismatchError,
-    InvalidShapeError,
-    NotStandardizedError,
-)
+from .errors import ConstantVectorError, InvalidShapeError
 from .matrix_core import EigenDecomposition, SymMatrix
 
-COLUMN_MEAN_TOLERANCE = 1e-10
-COLUMN_NORM_TOLERANCE = 1e-10
 CONSTANT_REL_TOLERANCE = 1e-14
 SINGULAR_VALUE_CUTOFF = 1e-12
 
@@ -143,88 +135,6 @@ MAX_SPHERE_N = 10**300
 _KS_EXACT_MAX_N = 10000
 
 
-@dataclass(frozen=True, eq=False)
-class StandardizedVector:
-    """Vector with mean 0 and unit Euclidean norm."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(np.asarray(self.values, dtype=float))
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True, eq=False)
-class SampleMatrix:
-    """n x p data matrix whose columns are standardized, with n > p >= 1.
-
-    The Gram matrix is computed on first use and kept.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2:
-            raise InvalidShapeError(f"expected 2-D data, got shape {a.shape}")
-        n, p = a.shape
-        if p < 1 or n <= p:
-            raise InvalidShapeError(f"need n > p >= 1, got n={n}, p={p}")
-        means = a.mean(axis=0)
-        if np.any(np.abs(means) > COLUMN_MEAN_TOLERANCE):
-            raise NotStandardizedError("columns are not centered")
-        norms = np.sqrt(np.einsum("ij,ij->j", a, a))  # no n x p temporary
-        if np.any(np.abs(norms - 1.0) > COLUMN_NORM_TOLERANCE):
-            raise NotStandardizedError("columns do not have unit norm")
-        # C order: the Gram product's bits depend on the layout.
-        a = np.array(a, order="C")
-        a.flags.writeable = False
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.entries.shape[1]
-
-    # Memoizing is safe: the dataclass is frozen and ``entries`` is read-only.
-    @cached_property
-    def gram(self) -> SymMatrix:
-        """X^T X, exactly symmetrized: the columns' sample correlation matrix."""
-        return SymMatrix.symmetrized(self.entries.T @ self.entries)
-
-
-@dataclass(frozen=True, eq=False)
-class SvdFactorization:
-    """X = sum_k sigma_k U_k V_k^T with orthonormal U and V columns.
-
-    ``singular_values`` are descending; zeros mark directions below the
-    rank cutoff, whose left vectors are an arbitrary orthonormal completion
-    (chosen orthogonal to the all-ones vector as well).
-    """
-
-    singular_values: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-
-    def __post_init__(self):
-        for name in ("singular_values", "left_vectors", "right_vectors"):
-            v = np.array(getattr(self, name), dtype=float)
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
-
-    @property
-    def sigma1_sq(self) -> float:
-        return float(self.singular_values[0] ** 2)
-
-
 @dataclass(frozen=True)
 class MonteCarloEstimate:
     """Mean estimate with its standard error, trial count, and seed."""
@@ -278,10 +188,10 @@ class RunningMoments:
         return self.std / math.sqrt(self.count)
 
 
-def standardize(x: np.ndarray, *, rows: bool = False):
+def standardize(x: np.ndarray, *, rows: bool = False) -> np.ndarray:
     """Center and scale to unit norm; idempotent on already-standardized input.
 
-    Returns a :class:`StandardizedVector` for a 1-D ``x``.  With
+    Returns a new read-only vector for a 1-D ``x``.  With
     ``rows=True``, ``x`` is a (k, n) array whose rows are standardized at
     once into a new C-ordered (k, n) array, which is returned; each row gets
     the same bits as a 1-D call on it.  Raises :class:`ConstantVectorError`
@@ -296,7 +206,9 @@ def standardize(x: np.ndarray, *, rows: bool = False):
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise InvalidShapeError(f"expected a 1-D vector of length >= 2, got shape {v.shape}")
-    return StandardizedVector(_standardize_rows(np.array(v[np.newaxis], order="C"))[0])
+    out = _standardize_rows(np.array(v[np.newaxis], order="C"))[0]
+    out.flags.writeable = False
+    return out
 
 
 def _standardize_rows(a: np.ndarray) -> np.ndarray:
@@ -325,36 +237,6 @@ def _standardize_rows(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _pad_orthonormal(
-    basis: list[np.ndarray], n: int, count: int
-) -> list[np.ndarray]:
-    """Deterministically extend ``basis`` by ``count`` orthonormal vectors.
-
-    Candidates are canonical unit vectors, orthogonalized against the current
-    basis and the all-ones direction so padded vectors standardize to
-    themselves.
-    """
-    ones = np.full(n, 1.0 / math.sqrt(n))
-    out: list[np.ndarray] = []
-    have = list(basis) + [ones]
-    e = 0
-    while len(out) < count:
-        if e >= n:
-            raise ConvergenceFailureError("could not complete an orthonormal basis")
-        cand = np.zeros(n)
-        cand[e] = 1.0
-        e += 1
-        for _ in range(2):  # two Gram-Schmidt sweeps for orthogonality to machine precision
-            for u in have:
-                cand = cand - np.dot(u, cand) * u
-        norm = float(np.linalg.norm(cand))
-        if norm > 1e-6:
-            cand /= norm
-            out.append(cand)
-            have.append(cand)
-    return out
-
-
 def _spectrum_certifies_rank(values: np.ndarray, n: int) -> bool:
     """Whether the descending Gram eigenvalues of an n-row design clear the
     ``_RANK_GUARD`` test, so that the QR rank test would keep all p directions."""
@@ -377,9 +259,10 @@ def _qr_ratios(rows: np.ndarray, pred, vk: np.ndarray, sigma_k: np.ndarray) -> n
     return np.abs(np.diagonal(r)) / sigma_k
 
 
-def _gram_route(rows: np.ndarray, pred, dec: EigenDecomposition) -> np.ndarray:
-    """Singular values sigma_k = sqrt(lambda_k) of X, with the rank decided:
-    X^T = ``rows[pred]`` (``pred`` a slice or a list) and ``dec`` is the
+def svd(rows: np.ndarray, pred, dec: EigenDecomposition) -> np.ndarray:
+    """Read-only descending singular values sigma_k = sqrt(lambda_k) of X, with
+    exact zeros from the rank on, as ``np.linalg.svd(X, compute_uv=False)`` gives
+    them: X^T = ``rows[pred]`` (``pred`` a slice or a list) and ``dec`` is the
     eigendecomposition of X^T X.  The rank is the first k at which X V_k
     collapses: |R_kk| / sigma_k < 0.5, where R is the triangular factor of
     X V (see :func:`_qr_ratios`).  Directions with sigma_k <= 1e-12 are not
@@ -403,40 +286,6 @@ def _gram_route(rows: np.ndarray, pred, dec: EigenDecomposition) -> np.ndarray:
     sigma_out[:rank] = sigma[:rank]
     sigma_out.flags.writeable = False
     return sigma_out
-
-
-def svd(x: SampleMatrix) -> SvdFactorization:
-    """Singular value decomposition via the p x p Gram matrix.
-
-    Singular values, right vectors and the rank come from the design's
-    memoized Gram matrix: right vectors come from the symmetric eigensolver on
-    X^T X (n > p, small p), and directions whose singular value falls below
-    1e-12, or whose X V_k collapses (the Gram route cannot resolve singular
-    values near sqrt(machine eps)), are reported as exact zeros.  Left vectors
-    exist only here: the Q of one reduced QR of X V_r / sigma_r, with column
-    signs making diag(R) positive (the Gram-Schmidt orthonormalization of
-    X V_k / sigma_k), followed by an orthonormal completion for the zeros.
-    """
-    v = x.gram.eigen.vectors
-    sigma = _gram_route(x.entries.T, slice(None), x.gram.eigen)
-    rank = int(np.count_nonzero(sigma))
-    q, r = np.linalg.qr(x.entries @ v[:, :rank] / sigma[:rank])
-    q *= np.sign(np.diagonal(r))
-    pad = _pad_orthonormal(list(q.T), x.n, x.p - rank)
-    return SvdFactorization(
-        singular_values=sigma,
-        left_vectors=np.column_stack([q, *pad]),
-        right_vectors=v,
-    )
-
-
-def sum_sq_corr(x: SampleMatrix, y: np.ndarray) -> float:
-    """Sum over columns of corr(X_i, y)^2 for a raw response vector."""
-    ys = standardize(y)
-    if ys.n != x.n:
-        raise DimensionMismatchError(f"y has length {ys.n}, X has {x.n} rows")
-    c = x.entries.T @ ys.values
-    return float(np.dot(c, c))
 
 
 def sphere_singular_values(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
@@ -493,16 +342,25 @@ def expected_sum_sq_mc(
     Trials are drawn from the exact law of the statistic (see the module
     docstring), so the cost is O(trials * p) whatever n is.  A fixed ``seed``
     reproduces the estimate bit for bit.
+
+    The values, of order p / (n - 1), are accumulated divided by 2^e, the power
+    of two of that order, so their squared deviations do not underflow however
+    large n is.  Scaling by a power of two is exact, so wherever nothing
+    underflowed unscaled the estimate has the same bits.
     """
     if trials < 2:
         raise InvalidShapeError(f"need at least 2 trials, got {trials}")
     sigma_sq = np.asarray(singular_values, dtype=float) ** 2
+    e = math.frexp(expected_sum_sq(n, sigma_sq.size))[1]
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     moments = RunningMoments()
     for batch in _law_sum_sq_batches(sigma_sq, n, trials, rng):
-        moments.update(batch)
+        moments.update(np.ldexp(batch, -e))
     return MonteCarloEstimate(
-        mean=moments.mean, stderr=moments.stderr, trials=trials, seed=int(seed)
+        mean=math.ldexp(moments.mean, e),
+        stderr=math.ldexp(moments.stderr, e),
+        trials=trials,
+        seed=int(seed),
     )
 
 

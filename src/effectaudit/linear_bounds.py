@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EntryOutOfRangeError, TauOutOfRangeError
+from .errors import DimensionMismatchError, TauOutOfRangeError, ValueOutOfRangeError
 from .matrix_core import CorrelationMatrix, SecondMomentMatrix
 
 FEASIBILITY_TOLERANCE = 1e-9
@@ -131,8 +131,8 @@ def _check_corr_vector(corr_xy: np.ndarray) -> np.ndarray:
     c = np.asarray(corr_xy, dtype=float)
     if c.ndim != 1 or c.size < 1:
         raise DimensionMismatchError("corr_xy must be a non-empty 1-D array")
-    for i in np.flatnonzero(np.abs(c) > 1.0 + 1e-12):
-        raise EntryOutOfRangeError(int(i), int(i), float(c[i]))
+    for i in np.flatnonzero(~(np.abs(c) <= 1.0 + 1e-12)):  # NaN fails too
+        raise ValueOutOfRangeError("corr_xy", float(c[i]), "outside [-1, 1]", int(i))
     return c
 
 
@@ -210,8 +210,8 @@ def multi_outcome_min_mass(p: int, tau: float, eps: float) -> float:
         raise DimensionMismatchError(f"p must be at least 1, got {p}")
     if not 0.0 <= tau <= 1.0:
         raise TauOutOfRangeError(tau)
-    if eps < 0.0:
-        raise EntryOutOfRangeError(0, 0, eps)
+    if not eps >= 0.0:
+        raise ValueOutOfRangeError("eps", float(eps), "must be non-negative")
     return p * ((tau - math.sqrt(2.0 * eps)) ** 2 * p - 1.0)
 
 
@@ -253,8 +253,9 @@ def max_large_coefficients(lambda_min: float, tau: float) -> int:
     floor(1 / (lambda_min tau^2)), with a 1e-9 relative nudge so values that
     are integers in real arithmetic do not round down from float error.
     """
-    if lambda_min <= 0.0 or tau <= 0.0:
-        raise EntryOutOfRangeError(0, 0, min(lambda_min, tau))
+    for name, value in (("lambda_min", lambda_min), ("tau", tau)):
+        if not value > 0.0:
+            raise ValueOutOfRangeError(name, float(value), "must be positive")
     v = 1.0 / (lambda_min * tau * tau)
     return int(math.floor(v * (1.0 + 1e-9)))
 

@@ -33,10 +33,10 @@ from .errors import (
 )
 from .finite_sample import (
     MEMORY_BUDGET,
-    _gram_route,
     expected_sum_sq,
     expected_sum_sq_mc,
     standardize,
+    svd,
 )
 from .info_bounds import DiscreteJoint
 from .linear_bounds import (
@@ -637,7 +637,7 @@ def audit_dataset(ds: Dataset, cfg: AuditConfig) -> DiagnosticReport:
     regression = BoundReport.from_sides(BoundKind.REGRESSION, fit.norm_sq, fit.bound)
 
     spectrum = cross.base.eigen.values
-    sv = _gram_route(rows, pred_idx, cross.base.eigen)
+    sv = svd(rows, pred_idx, cross.base.eigen)
     mc = expected_sum_sq_mc(sv, ds.n, cfg.trials, cfg.seed)
 
     section = DatasetAuditSection(

@@ -255,11 +255,8 @@ def test_simulate_sphere_p_cap_keeps_the_memory_budget(capsys):
     assert bound(cli.MAX_SPHERE_P) <= finite_sample.MEMORY_BUDGET
 
 
-def test_sample_matrix_is_on_no_cli_path(capsys, monkeypatch):
-    def refuse(*_args):
-        raise AssertionError("a SampleMatrix was built")
-
-    monkeypatch.setattr(finite_sample.SampleMatrix, "__post_init__", refuse)
+def test_sample_matrix_is_on_no_cli_path(capsys):
+    assert not hasattr(finite_sample, "SampleMatrix")
     for argv in (
         ["audit", BOUNDARY_CSV, "--outcome", "y", "--trials", "500"],
         ["audit", BOUNDARY_CSV, "--outcome", "x1", "--trials", "500"],

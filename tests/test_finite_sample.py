@@ -1,4 +1,7 @@
-"""Sample correlations, the Gram-route SVD, and sphere-average simulation."""
+"""Sample correlations, the Gram-route singular values, and sphere-average simulation.
+
+A design here is a plain C-ordered n x p array of standardized columns.
+"""
 
 import math
 import tracemalloc
@@ -11,13 +14,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from effectaudit import (
+    EigenDecomposition,
     RunningMoments,
-    SampleMatrix,
+    SymMatrix,
     chisq_mixture_compare,
     expected_sum_sq,
     expected_sum_sq_mc,
     standardize,
-    sum_sq_corr,
     svd,
 )
 from effectaudit import finite_sample
@@ -25,34 +28,29 @@ from effectaudit.finite_sample import (
     _MIXTURE_BYTES_PER_TRIAL,
     _QR_ROWS,
     SINGULAR_VALUE_CUTOFF,
-    _gram_route,
     _ks_statistic,
     _law_sum_sq_batches,
     _qr_ratios,
     _spectrum_certifies_rank,
     sphere_singular_values,
 )
-from effectaudit.errors import (
-    ConstantVectorError,
-    DimensionMismatchError,
-    InvalidShapeError,
-    NotStandardizedError,
-)
+from effectaudit.errors import ConstantVectorError, InvalidShapeError
 
 
 def test_standardize_small_fixture():
     s = standardize(np.array([1.0, 2.0, 3.0]))
     root2 = math.sqrt(2.0)
-    np.testing.assert_allclose(s.values, [-1 / root2, 0.0, 1 / root2], atol=1e-15)
-    assert abs(float(s.values.sum())) < 1e-15
-    assert abs(float(np.linalg.norm(s.values)) - 1.0) < 1e-15
+    np.testing.assert_allclose(s, [-1 / root2, 0.0, 1 / root2], atol=1e-15)
+    assert abs(float(s.sum())) < 1e-15
+    assert abs(float(np.linalg.norm(s)) - 1.0) < 1e-15
+    assert not s.flags.writeable
 
 
 def test_standardize_idempotent():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(40)
-    once = standardize(v).values
-    twice = standardize(once).values
+    once = standardize(v)
+    twice = standardize(once)
     np.testing.assert_allclose(twice, once, atol=1e-15)
 
 
@@ -69,20 +67,38 @@ def test_standardize_rejects_constant_and_bad_shape():
         standardize(np.array([1.0]))
 
 
-def sample_matrix_from_raw(data: np.ndarray) -> SampleMatrix:
-    """Standardize each column of raw data into a design."""
-    return SampleMatrix(standardize(np.asarray(data, dtype=float).T, rows=True).T)
+def sample_matrix_from_raw(data: np.ndarray) -> np.ndarray:
+    """Standardize each column of raw data into a C-ordered design."""
+    return np.array(standardize(np.asarray(data, dtype=float).T, rows=True).T, order="C")
 
 
-def random_sample_matrix(n: int, p: int, rng: np.random.Generator) -> SampleMatrix:
+def random_sample_matrix(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
     """Random standardized matrix: independent normal entries, columns
     standardized.  The n x p oracle behind ``sphere_singular_values``."""
     return sample_matrix_from_raw(rng.standard_normal((n, p)))
 
 
-def singular_values(x: SampleMatrix) -> np.ndarray:
-    """The singular values that ``svd(x)`` reports, without its left vectors."""
-    return _gram_route(x.entries.T, slice(None), x.gram.eigen)
+def gram_eigen(x: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of X^T X, exactly symmetrized."""
+    return SymMatrix.symmetrized(x.T @ x).eigen
+
+
+def singular_values(x: np.ndarray) -> np.ndarray:
+    """The singular values of a design, as ``svd`` decides them."""
+    return svd(x.T, slice(None), gram_eigen(x))
+
+
+def sum_sq_corr(x: np.ndarray, y: np.ndarray) -> float:
+    """Sum over columns of corr(X_i, y)^2 for a raw response: ||X^T standardize(y)||^2."""
+    c = x.T @ standardize(y)
+    return float(np.dot(c, c))
+
+
+def top_left_vector(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """(u_1, sigma_1^2): u_1 = X v_1 / sigma_1, with sigma_1 from ``svd``."""
+    dec = gram_eigen(x)
+    sigma1 = float(svd(x.T, slice(None), dec)[0])
+    return x @ dec.vectors[:, 0] / sigma1, sigma1**2
 
 
 def standardize_one(v: np.ndarray) -> np.ndarray:
@@ -104,9 +120,9 @@ def test_batched_standardize_matches_each_row_alone_bit_for_bit(n, k):
     assert got.tobytes() == want.tobytes()
     # one column of an n x k design, strided
     for j in range(k):
-        assert standardize(raw.T[:, j]).values.tobytes() == want[j].tobytes()
+        assert standardize(raw.T[:, j]).tobytes() == want[j].tobytes()
     if n > k:
-        assert sample_matrix_from_raw(raw.T).entries.tobytes() == np.column_stack(want).tobytes()
+        assert sample_matrix_from_raw(raw.T).tobytes() == np.column_stack(want).tobytes()
 
 
 def test_batched_standardize_names_every_constant_row():
@@ -122,7 +138,7 @@ def test_batched_standardize_names_every_constant_row():
 
 def sample_corr(x: np.ndarray, y: np.ndarray) -> float:
     """Sample correlation as the inner product of standardized vectors."""
-    return float(np.dot(standardize(x).values, standardize(y).values))
+    return float(np.dot(standardize(x), standardize(y)))
 
 
 def test_sample_corr_fixture():
@@ -162,78 +178,48 @@ def test_sample_corr_affine_invariance(a, b, flip, seed):
     )
 
 
-def test_sample_matrix_validation():
-    with pytest.raises(InvalidShapeError):
-        SampleMatrix(np.zeros(5))
-    with pytest.raises(InvalidShapeError):
-        SampleMatrix(np.eye(4))  # n == p
-    rng = np.random.default_rng(1)
-    raw = rng.standard_normal((10, 3))
-    with pytest.raises(NotStandardizedError):
-        SampleMatrix(raw)
-    shifted = random_sample_matrix(10, 3, rng).entries + 0.2
-    with pytest.raises(NotStandardizedError):
-        SampleMatrix(shifted)
-    scaled = random_sample_matrix(10, 3, rng).entries * 1.5
-    with pytest.raises(NotStandardizedError):
-        SampleMatrix(scaled)
-    m = sample_matrix_from_raw(raw)
-    assert (m.n, m.p) == (10, 3)
-    assert not m.entries.flags.writeable
-
-
 def test_svd_reconstruction_and_orthonormality():
+    # the reported singular values and the Gram eigenvectors factor X: the
+    # oracle left vectors X V / sigma are orthonormal and rebuild X
     rng = np.random.default_rng(7)
     for _ in range(60):
         n = int(rng.integers(4, 40))
         p = int(rng.integers(1, min(n, 9)))
         x = random_sample_matrix(n, p, rng)
-        f = svd(x)
-        u, s, v = f.left_vectors, f.singular_values, f.right_vectors
+        v = gram_eigen(x).vectors
+        s = singular_values(x)
+        assert not s.flags.writeable
         assert np.all(np.diff(s) <= 1e-15)  # descending
+        u = x @ v / s
         recon = (u * s) @ v.T
-        assert np.max(np.abs(recon - x.entries)) < 1e-9
+        assert np.max(np.abs(recon - x)) < 1e-9
         assert np.max(np.abs(u.T @ u - np.eye(p))) < 1e-9
         assert np.max(np.abs(v.T @ v - np.eye(p))) < 1e-9
         # standardized columns force trace(X^T X) = p
         assert float(np.sum(s**2)) == pytest.approx(p, abs=1e-8)
 
 
-def test_svd_left_vectors_are_standardized():
-    # every left vector, padded ones included, is itself a standardized column
-    rng = np.random.default_rng(11)
-    x = random_sample_matrix(25, 6, rng)
-    u = svd(x).left_vectors
-    for k in range(u.shape[1]):
-        assert abs(float(u[:, k].mean())) < 1e-10
-        assert abs(float(np.linalg.norm(u[:, k])) - 1.0) < 1e-10
-
-
 def test_svd_duplicated_column_reports_exact_zero():
     rng = np.random.default_rng(3)
-    col = standardize(rng.standard_normal(12)).values
-    x = SampleMatrix(np.column_stack([col, col]))
-    f = svd(x)
-    np.testing.assert_allclose(f.singular_values, [math.sqrt(2.0), 0.0], atol=1e-12)
-    assert f.singular_values[1] == 0.0
-    u = f.left_vectors
-    assert np.max(np.abs(u.T @ u - np.eye(2))) < 1e-9
+    col = standardize(rng.standard_normal(12))
+    s = singular_values(np.column_stack([col, col]))
+    np.testing.assert_allclose(s, [math.sqrt(2.0), 0.0], atol=1e-12)
+    assert s[1] == 0.0
 
 
-def gram_schmidt_route(x: SampleMatrix) -> tuple[np.ndarray, list[np.ndarray]]:
+def gram_schmidt_route(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """The rank rule as a per-column Gram-Schmidt loop: the reference for the QR route.
 
     Returns the singular values (exact zeros from the first collapsed
     direction on) and the kept left vectors.
     """
-    a = x.entries
-    dec = x.gram.eigen
+    dec = gram_eigen(x)
     sigma = np.sqrt(np.maximum(dec.values, 0.0))
     left: list[np.ndarray] = []
-    for k in range(x.p):
+    for k in range(x.shape[1]):
         if sigma[k] <= SINGULAR_VALUE_CUTOFF:
             break
-        u = a @ dec.vectors[:, k]
+        u = x @ dec.vectors[:, k]
         u /= sigma[k]
         for w in left:
             u -= np.dot(w, u) * w
@@ -241,12 +227,12 @@ def gram_schmidt_route(x: SampleMatrix) -> tuple[np.ndarray, list[np.ndarray]]:
         if norm < 0.5:
             break
         left.append(u / norm)
-    out = np.zeros(x.p)
+    out = np.zeros(x.shape[1])
     out[: len(left)] = sigma[: len(left)]
     return out, left
 
 
-def near_singular_design(n: int, p: int, copies: int, noise: float, seed: int) -> SampleMatrix:
+def near_singular_design(n: int, p: int, copies: int, noise: float, seed: int) -> np.ndarray:
     """Normal columns, the last ``copies`` of which repeat earlier ones plus ``noise``."""
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n, p))
@@ -302,19 +288,19 @@ def test_rank_rule_reads_the_predictor_rows_of_a_wider_table(name, n, p, copies,
     # as an audit calls it: the design's columns are rows of a table that also
     # holds the outcome, first, second or last
     x = near_singular_design(n, p, copies, 1e-9, seed=n + p)
-    y = standardize(np.random.default_rng(n).standard_normal(n)).values
-    table = np.insert(x.entries.T, outcome % (p + 1), y, axis=0)
+    y = standardize(np.random.default_rng(n).standard_normal(n))
+    table = np.insert(x.T, outcome % (p + 1), y, axis=0)
     pred = [i for i in range(p + 1) if i != outcome % (p + 1)]
     with forced_qr():
-        got = _gram_route(table, pred, x.gram.eigen)
+        got = svd(table, pred, gram_eigen(x))
     assert np.array_equal(got, gram_schmidt_route(x)[0])
 
 
 @pytest.mark.parametrize("n", [12, _QR_ROWS + 1])
 @pytest.mark.parametrize("p", [2, 5])
 def test_rank_rule_every_column_duplicated(n, p):
-    col = standardize(np.random.default_rng(n * p).standard_normal(n)).values
-    x = SampleMatrix(np.column_stack([col] * p))
+    col = standardize(np.random.default_rng(n * p).standard_normal(n))
+    x = np.column_stack([col] * p)
     sv = singular_values(x)
     assert np.array_equal(sv, gram_schmidt_route(x)[0])
     assert sv[0] == pytest.approx(math.sqrt(p), abs=1e-12)
@@ -353,11 +339,12 @@ def test_spectrum_certificate_agrees_with_the_qr(n, p, copies, log_noise, rows, 
     assert np.array_equal(singular_values(x), want)
     with forced_qr(), mock.patch.object(finite_sample, "_QR_ROWS", rows):
         assert np.array_equal(singular_values(x), want)
-    values = x.gram.eigen.values
+    dec = gram_eigen(x)
+    values = dec.values
     if not _spectrum_certifies_rank(values, n):
         return
     # certified: the QR keeps every direction, within the derivation's bound
-    ratios = _qr_ratios(x.entries.T, slice(None), x.gram.eigen.vectors, np.sqrt(values))
+    ratios = _qr_ratios(x.T, slice(None), dec.vectors, np.sqrt(values))
     delta = 10 * (n + p) * p * p * np.finfo(float).eps * values[0]  # C = 10
     t = delta / values[-1]
     assert t <= 1e-3
@@ -365,13 +352,13 @@ def test_spectrum_certificate_agrees_with_the_qr(n, p, copies, log_noise, rows, 
     assert np.all(np.abs(ratios - 1.0) <= 1e-3)
 
 
-def correlated_pair_design(n: int, p: int, rho: float, seed: int) -> SampleMatrix:
+def correlated_pair_design(n: int, p: int, rho: float, seed: int) -> np.ndarray:
     """Orthonormal standardized columns, the last one turned to correlation
     rho with the first: Gram eigenvalues 1 + rho, 1 - rho and p - 2 ones."""
     raw = np.random.default_rng(seed).standard_normal((n, p))
     u = np.linalg.qr(raw - raw.mean(axis=0))[0]
     u[:, -1] = rho * u[:, 0] + math.sqrt(1.0 - rho * rho) * u[:, -1]
-    return SampleMatrix(u)
+    return u
 
 
 @pytest.mark.parametrize("n,p", [(50, 2), (300, 5), (_QR_ROWS + 1, 4)])
@@ -380,7 +367,7 @@ def test_guard_boundary_decides_the_route(n, p, side):
     # lambda_min / lambda_max = (1 - rho) / (1 + rho) = side * guard ratio
     g = side * guard_ratio(n, p)
     x = correlated_pair_design(n, p, (1.0 - g) / (1.0 + g), seed=n + p)
-    values = x.gram.eigen.values
+    values = gram_eigen(x).values
     assert values[-1] / values[0] == pytest.approx(g, rel=1e-4)
     with counted_qr() as qr:
         sv = singular_values(x)
@@ -414,7 +401,7 @@ FORCED_QR_DESIGNS = [d for d in BLOCK_DESIGNS if d[3] == 0] + [
 )
 def test_forced_qr_rank_at_row_block_boundaries(name, n, p, copies):
     x = near_singular_design(n, p, copies, 0.0, seed=n + p)
-    assert _spectrum_certifies_rank(x.gram.eigen.values, n)
+    assert _spectrum_certifies_rank(gram_eigen(x).values, n)
     with forced_qr(), counted_qr() as qr:
         sv = singular_values(x)
     assert qr.call_count == -(-n // _QR_ROWS)
@@ -435,25 +422,18 @@ SVD_DESIGNS = [
     "name,n,p,copies,noise", SVD_DESIGNS, ids=[d[0] for d in SVD_DESIGNS]
 )
 def test_svd_left_vectors_orthonormal_standardized_and_reconstructing(name, n, p, copies, noise):
+    # the loop's kept left vectors, with the reported singular values and the
+    # Gram eigenvectors, rebuild X: the directions reported as zeros carry no mass
     x = near_singular_design(n, p, copies, noise, seed=p * 101 + copies)
-    f = svd(x)
-    u, s, v = f.left_vectors, f.singular_values, f.right_vectors
-    assert np.array_equal(s, gram_schmidt_route(x)[0])
-    assert np.max(np.abs(u.T @ u - np.eye(p))) < 1e-9
+    s = singular_values(x)
+    want, left = gram_schmidt_route(x)
+    assert np.array_equal(s, want)
+    r = len(left)
+    u, v = np.column_stack(left), gram_eigen(x).vectors[:, :r]
+    assert np.max(np.abs(u.T @ u - np.eye(r))) < 1e-9
     assert np.max(np.abs(u.mean(axis=0))) < 1e-10
     assert np.max(np.abs(np.linalg.norm(u, axis=0) - 1.0)) < 1e-10
-    assert np.max(np.abs((u * s) @ v.T - x.entries)) < 1e-7
-
-
-def test_svd_left_vectors_match_the_gram_schmidt_loop():
-    # kept left vectors keep the loop's signs: U_k . X V_k > 0
-    rng = np.random.default_rng(37)
-    for _ in range(40):
-        n = int(rng.integers(4, 60))
-        x = random_sample_matrix(n, int(rng.integers(1, min(n, 9))), rng)
-        _, left = gram_schmidt_route(x)
-        u = svd(x).left_vectors
-        assert np.max(np.abs(u[:, : len(left)] - np.column_stack(left))) < 1e-9
+    assert np.max(np.abs((u * s[:r]) @ v.T - x)) < 1e-7
 
 
 def test_singular_values_memory_is_one_row_block():
@@ -480,7 +460,7 @@ def test_forced_qr_memory_is_one_row_block():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-    assert np.array_equal(sv, np.sqrt(x.gram.eigen.values))
+    assert np.array_equal(sv, np.sqrt(gram_eigen(x).values))
 
 
 def test_sum_sq_corr_dual_route_and_spectral_cap():
@@ -490,39 +470,33 @@ def test_sum_sq_corr_dual_route_and_spectral_cap():
         p = int(rng.integers(1, min(n, 7)))
         x = random_sample_matrix(n, p, rng)
         y = rng.standard_normal(n)
-        direct = sum(np.corrcoef(x.entries[:, j], y)[0, 1] ** 2 for j in range(p))
+        direct = sum(np.corrcoef(x[:, j], y)[0, 1] ** 2 for j in range(p))
         assert sum_sq_corr(x, y) == pytest.approx(direct, abs=1e-10)
-        assert sum_sq_corr(x, y) <= svd(x).sigma1_sq + 1e-9
+        assert sum_sq_corr(x, y) <= singular_values(x)[0] ** 2 + 1e-9
 
 
 def test_sum_sq_corr_attained_at_top_left_vector():
     rng = np.random.default_rng(23)
     for _ in range(20):
         x = random_sample_matrix(int(rng.integers(8, 30)), 5, rng)
-        f = svd(x)
-        attained = sum_sq_corr(x, f.left_vectors[:, 0])
-        assert attained == pytest.approx(f.sigma1_sq, abs=1e-9)
+        u1, sigma1_sq = top_left_vector(x)
+        assert sum_sq_corr(x, u1) == pytest.approx(sigma1_sq, abs=1e-9)
 
 
 def test_sum_sq_corr_spectral_identity_many_pairs():
-    # sum_i corr(X_i, y)^2 == sum_k sigma_k^2 (U_k . y*)^2, 10000 random pairs
+    # sum_i corr(X_i, y)^2 == sum_k sigma_k^2 (U_k . y*)^2, 10000 random pairs,
+    # with U = X V / sigma
     rng = np.random.default_rng(29)
     for _ in range(10_000):
         n = int(rng.integers(4, 13))
         p = int(rng.integers(1, min(n, 7)))
         x = random_sample_matrix(n, p, rng)
-        y = standardize(rng.standard_normal(n)).values
-        f = svd(x)
-        proj = f.left_vectors.T @ y
-        via_svd = float(np.sum(f.singular_values**2 * proj**2))
+        y = standardize(rng.standard_normal(n))
+        dec = gram_eigen(x)
+        s = svd(x.T, slice(None), dec)
+        proj = (x @ dec.vectors / s).T @ y
+        via_svd = float(np.sum(s**2 * proj**2))
         assert sum_sq_corr(x, y) == pytest.approx(via_svd, abs=1e-9)
-
-
-def test_sum_sq_corr_length_mismatch():
-    rng = np.random.default_rng(2)
-    x = random_sample_matrix(8, 2, rng)
-    with pytest.raises(DimensionMismatchError):
-        sum_sq_corr(x, np.arange(9.0))
 
 
 def test_running_moments_matches_numpy():
@@ -551,7 +525,7 @@ def test_mc_minimal_case_matches_exact_average():
     # but the sphere average is p/(n-1) = 0.5
     rng = np.random.default_rng(8)
     x = random_sample_matrix(3, 1, rng)
-    est = expected_sum_sq_mc(singular_values(x), x.n, trials=20_000, seed=101)
+    est = expected_sum_sq_mc(singular_values(x), x.shape[0], trials=20_000, seed=101)
     assert abs(est.mean - 0.5) < 3.0 * est.stderr
     assert est.trials == 20_000 and est.seed == 101
 
@@ -563,7 +537,7 @@ MC_GRID = [(11, 5, 202), (50, 10, 203), (101, 20, 204)]
 def test_mc_grid_matches_analytic_average(n, p, seed):
     rng = np.random.default_rng(seed)
     x = random_sample_matrix(n, p, rng)
-    est = expected_sum_sq_mc(singular_values(x), x.n, trials=100_000, seed=seed)
+    est = expected_sum_sq_mc(singular_values(x), x.shape[0], trials=100_000, seed=seed)
     z = abs(est.mean - expected_sum_sq(n, p)) / est.stderr
     if z > 3.0:
         pytest.fail(f"MC mean {est.mean} is {z:.1f} sigma from {expected_sum_sq(n, p)}")
@@ -576,11 +550,11 @@ def test_mc_grid_matches_analytic_average(n, p, seed):
 def test_mc_seed_determinism_and_agreement():
     rng = np.random.default_rng(77)
     x = random_sample_matrix(40, 6, rng)
-    one = expected_sum_sq_mc(singular_values(x), x.n, trials=30_000, seed=9)
+    one = expected_sum_sq_mc(singular_values(x), x.shape[0], trials=30_000, seed=9)
     again = random_sample_matrix(40, 6, np.random.default_rng(77))
-    two = expected_sum_sq_mc(singular_values(again), again.n, 30_000, 9)
+    two = expected_sum_sq_mc(singular_values(again), again.shape[0], 30_000, 9)
     assert one.mean == two.mean and one.stderr == two.stderr  # bit-identical
-    other = expected_sum_sq_mc(singular_values(x), x.n, trials=30_000, seed=10)
+    other = expected_sum_sq_mc(singular_values(x), x.shape[0], trials=30_000, seed=10)
     assert other.mean != one.mean  # different streams
     sigma = math.hypot(one.stderr, other.stderr)
     assert abs(one.mean - other.mean) < 4.0 * sigma
@@ -589,11 +563,20 @@ def test_mc_seed_determinism_and_agreement():
     assert abs(other.mean - truth) < 4.0 * other.stderr
 
 
+def test_mc_stderr_survives_a_huge_n():
+    # values of order p / (n - 1) near 1e-300 square to below the float range
+    n, p = 10**300, 5
+    est = expected_sum_sq_mc(sphere_singular_values(n, p, np.random.default_rng(1)), n, 1000, 1)
+    assert math.isfinite(est.stderr) and est.stderr > 0.0
+    z = (est.mean - expected_sum_sq(n, p)) / est.stderr
+    assert math.isfinite(z) and abs(z) < 5.0
+
+
 def test_mc_argument_validation():
     rng = np.random.default_rng(1)
     x = random_sample_matrix(6, 2, rng)
     with pytest.raises(InvalidShapeError):
-        expected_sum_sq_mc(singular_values(x), x.n, trials=1, seed=0)
+        expected_sum_sq_mc(singular_values(x), x.shape[0], trials=1, seed=0)
     for sigma, n in (([1.0, 1.0], 2), ([], 5), ([[1.0]], 5)):  # n <= p, no values, not 1-D
         with pytest.raises(InvalidShapeError):
             expected_sum_sq_mc(np.array(sigma), n, trials=100, seed=0)
@@ -604,12 +587,12 @@ def test_mc_argument_validation():
 def test_chisq_mixture_compare_deterministic_and_small():
     rng = np.random.default_rng(90)
     x = random_sample_matrix(200, 5, rng)
-    d1 = chisq_mixture_compare(singular_values(x), x.n, trials=4000, seed=12)
-    d2 = chisq_mixture_compare(singular_values(x), x.n, trials=4000, seed=12)
+    d1 = chisq_mixture_compare(singular_values(x), x.shape[0], trials=4000, seed=12)
+    d2 = chisq_mixture_compare(singular_values(x), x.shape[0], trials=4000, seed=12)
     assert d1 == d2
     assert 0.0 <= d1 < 0.05  # large-n regime: the mixture is a close fit
     with pytest.raises(InvalidShapeError):
-        chisq_mixture_compare(singular_values(x), x.n, trials=10, seed=0)
+        chisq_mixture_compare(singular_values(x), x.shape[0], trials=10, seed=0)
 
 
 @pytest.mark.parametrize("p", [1, 3, 7, 50])
@@ -619,13 +602,13 @@ def test_chisq_mixture_compare_streams_the_one_shot_draws(p, trials, monkeypatch
     x = random_sample_matrix(60, p, np.random.default_rng(p))
     seen = []
     monkeypatch.setattr(finite_sample, "_ks_statistic", lambda a, b: seen.append((a, b)) or 0.0)
-    chisq_mixture_compare(singular_values(x), x.n, trials, seed=21)
+    chisq_mixture_compare(singular_values(x), x.shape[0], trials, seed=21)
     (sim, mix), = seen
     sigma_sq = singular_values(x) ** 2
     rng_sim = np.random.default_rng(np.random.SeedSequence(21, spawn_key=(0,)))
     rng_mix = np.random.default_rng(np.random.SeedSequence(21, spawn_key=(1,)))
-    one_sim = np.concatenate(list(_law_sum_sq_batches(sigma_sq, x.n, trials, rng_sim)))
-    one_mix = (rng_mix.chisquare(1.0, size=(trials, p)) @ sigma_sq) / (x.n - 1)
+    one_sim = np.concatenate(list(_law_sum_sq_batches(sigma_sq, x.shape[0], trials, rng_sim)))
+    one_mix = (rng_mix.chisquare(1.0, size=(trials, p)) @ sigma_sq) / (x.shape[0] - 1)
     assert np.array_equal(sim, one_sim)
     assert np.array_equal(mix, one_mix)
 
@@ -638,16 +621,16 @@ def test_chisq_mixture_compare_memory_per_trial_is_bounded():
     sigma = singular_values(x)
     tracemalloc.start()
     try:
-        chisq_mixture_compare(sigma, x.n, trials, seed=3)
+        chisq_mixture_compare(sigma, x.shape[0], trials, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < _MIXTURE_BYTES_PER_TRIAL * trials, f"{peak / trials:.1f} bytes per trial"
 
 
-def _duplicated_column_design(n: int, rng: np.random.Generator) -> SampleMatrix:
-    cols = [standardize(rng.standard_normal(n)).values for _ in range(2)]
-    return SampleMatrix(np.column_stack([cols[0], cols[1], cols[0]]))
+def _duplicated_column_design(n: int, rng: np.random.Generator) -> np.ndarray:
+    cols = [standardize(rng.standard_normal(n)) for _ in range(2)]
+    return np.column_stack([cols[0], cols[1], cols[0]])
 
 
 # Bytes of responses per batch in the direct sphere simulator, which draws a
@@ -656,7 +639,7 @@ _DIRECT_BATCH_BYTES = 16 * 2**20
 
 
 def _direct_sum_sq_batches(
-    x: SampleMatrix,
+    x: np.ndarray,
     trials: int,
     rng: np.random.Generator,
     batch_bytes: int = _DIRECT_BATCH_BYTES,
@@ -667,8 +650,7 @@ def _direct_sum_sq_batches(
     Rows are drawn row-major, so the draws do not depend on ``batch_bytes``,
     which only caps the memory of one batch.
     """
-    a = x.entries
-    n = x.n
+    n = x.shape[0]
     rows = max(1, batch_bytes // (8 * n))
     done = 0
     while done < trials:
@@ -677,7 +659,7 @@ def _direct_sum_sq_batches(
         g /= np.linalg.norm(g, axis=1, keepdims=True)  # uniform on the sphere
         g -= g.mean(axis=1, keepdims=True)
         g /= np.linalg.norm(g, axis=1, keepdims=True)  # standardized response
-        c = g @ a
+        c = g @ x
         yield (c * c).sum(axis=1)
         done += m
 
@@ -697,11 +679,11 @@ def test_exact_law_sampler_matches_direct_simulator(name, make):
     trials = 40_000
     sigma_sq = singular_values(x) ** 2
     law = np.concatenate(
-        list(_law_sum_sq_batches(sigma_sq, x.n, trials, np.random.default_rng(1)))
+        list(_law_sum_sq_batches(sigma_sq, x.shape[0], trials, np.random.default_rng(1)))
     )
     direct = np.concatenate(list(_direct_sum_sq_batches(x, trials, np.random.default_rng(2))))
     assert law.size == direct.size == trials
-    assert np.all(law >= 0.0) and np.all(law <= svd(x).sigma1_sq * (1.0 + 1e-12))
+    assert np.all(law >= 0.0) and np.all(law <= sigma_sq[0] * (1.0 + 1e-12))
     result = stats.ks_2samp(law, direct)
     assert result.pvalue > 0.01, f"{name}: KS {result.statistic:.4f}, p={result.pvalue:.3g}"
 
@@ -718,7 +700,7 @@ def test_bartlett_spectrum_matches_drawn_designs(n, p):
     designs = 2000
     rng_b, rng_d = np.random.default_rng(n + p), np.random.default_rng(n * p)
     bartlett = np.array([sphere_singular_values(n, p, rng_b) ** 2 for _ in range(designs)])
-    direct = np.array([random_sample_matrix(n, p, rng_d).gram.eigen.values
+    direct = np.array([gram_eigen(random_sample_matrix(n, p, rng_d)).values
                        for _ in range(designs)])
     for k, law in ((0, "lambda_max"), (-1, "lambda_min")):
         result = stats.ks_2samp(bartlett[:, k], direct[:, k])
@@ -754,7 +736,7 @@ def test_mc_very_large_n_memory_stays_bounded():
     x = random_sample_matrix(n, p, np.random.default_rng(808))
     tracemalloc.start()
     try:
-        est = expected_sum_sq_mc(singular_values(x), x.n, trials=20_000, seed=17)
+        est = expected_sum_sq_mc(singular_values(x), x.shape[0], trials=20_000, seed=17)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -765,7 +747,7 @@ def test_mc_very_large_n_memory_stays_bounded():
 def test_chisq_mixture_compare_is_the_asymptotic_law():
     # at n=11, p=5 the exact law and the large-n mixture differ by construction
     x = random_sample_matrix(11, 5, np.random.default_rng(91))
-    assert chisq_mixture_compare(singular_values(x), x.n, trials=20_000, seed=4) > 0.05
+    assert chisq_mixture_compare(singular_values(x), x.shape[0], trials=20_000, seed=4) > 0.05
 
 
 def _ks_samples(kind: str, n1: int, n2: int, rng: np.random.Generator):

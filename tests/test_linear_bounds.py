@@ -229,3 +229,32 @@ def test_claim_set_validation():
 def test_claim_set_rejects_nan_tau_at_its_own_index():
     with pytest.raises(EntryOutOfRangeError, match=r"tau\[1\] = nan outside \[0, 1\]"):
         ClaimSet(tau=np.array([0.3, np.nan, 0.2]))
+
+
+@pytest.mark.parametrize("check", [vdc_check, eigen_bound_check])
+@pytest.mark.parametrize("value,shown", [(math.nan, "nan"), (1.5, "1.5"), (-math.inf, "-inf")])
+def test_corr_vector_names_the_bad_entry_and_its_range(check, value, shown):
+    # NaN fails every comparison, so it must not slip through to lhs = nan
+    with pytest.raises(EntryOutOfRangeError, match=rf"^corr_xy\[1\] = {shown} outside \[-1, 1\]$"):
+        check(np.array([0.5, value]), equicorrelation(2, 0.0))
+
+
+@pytest.mark.parametrize("eps,shown", [(-0.1, "-0.1"), (math.nan, "nan")])
+def test_multi_outcome_min_mass_names_eps(eps, shown):
+    with pytest.raises(EntryOutOfRangeError, match=rf"^eps = {shown} must be non-negative$"):
+        multi_outcome_min_mass(3, 0.5, eps)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((-1.0, 0.3), "lambda_min = -1.0 must be positive"),
+        ((0.0, 0.5), "lambda_min = 0.0 must be positive"),
+        ((math.nan, 0.5), "lambda_min = nan must be positive"),
+        ((1.0, -0.3), "tau = -0.3 must be positive"),
+        ((1.0, math.nan), "tau = nan must be positive"),
+    ],
+)
+def test_max_large_coefficients_names_the_bad_argument(args, message):
+    with pytest.raises(EntryOutOfRangeError, match=f"^{message}$"):
+        max_large_coefficients(*args)

@@ -57,9 +57,9 @@ from effectaudit.errors import (
 from effectaudit import report as report_module
 from effectaudit.finite_sample import (
     MonteCarloEstimate,
-    _gram_route,
     expected_sum_sq,
     expected_sum_sq_mc,
+    svd,
 )
 from effectaudit.linear_bounds import (
     BoundKind,
@@ -989,7 +989,7 @@ def per_column_audit_json(ds: Dataset, cfg: AuditConfig) -> str:
     block = np.array([[gram[i, j] for j in pred_idx] for i in pred_idx])
     cross = validate_correlation(SymMatrix.symmetrized(block), cfg.psd_tolerance)
     fit = fit_least_squares(SecondMomentMatrix(cross.base, cfg.psd_tolerance), corr_xy)
-    sv = _gram_route(table, pred_idx, cross.base.eigen)
+    sv = svd(table, pred_idx, cross.base.eigen)
     section = DatasetAuditSection(
         n=ds.n,
         p=len(pred_idx),

@@ -73,3 +73,6 @@ def test_traced_benchmark_run_ends_with_a_result_holding_every_layer_metric():
         spec = json.load(fh)
     declared = {f"{w['name']}.{m['name']}" for w in spec["workloads"] for m in spec["per_layer"]}
     assert set(result["metrics"]) == declared
+    # every workload runs audits, and each audit's rank decision is its own span
+    for workload in spec["workloads"]:
+        assert result["metrics"][f"{workload['name']}.finite_sample.svd_s"]["value"] > 0
