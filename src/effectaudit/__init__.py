@@ -33,7 +33,6 @@ from .info_bounds import (
     DiscreteJoint,
     MIReport,
     entropy,
-    max_independent_informative,
     mi_piranha_check,
     mutual_information,
 )
@@ -46,7 +45,6 @@ from .linear_bounds import (
     claims_cross_mass,
     eigen_bound_check,
     fit_least_squares,
-    max_large_coefficients,
     min_cross_mass,
     multi_outcome_degenerate,
     multi_outcome_min_mass,
@@ -97,7 +95,6 @@ __all__ = [
     "multi_outcome_min_mass",
     "multi_outcome_degenerate",
     "fit_least_squares",
-    "max_large_coefficients",
     "tightness_instance",
     # info bounds
     "DiscreteJoint",
@@ -105,7 +102,6 @@ __all__ = [
     "entropy",
     "mutual_information",
     "mi_piranha_check",
-    "max_independent_informative",
     # finite sample
     "MonteCarloEstimate",
     "RunningMoments",

@@ -45,15 +45,7 @@ from .pipeline import (
     load_joint_json,
     load_matrix_csv,
 )
-from .report import (
-    AggregateSection,
-    DiagnosticReport,
-    LogisticSection,
-    MiSection,
-    SphereSection,
-    TightnessSection,
-    render_report,
-)
+from .report import DiagnosticReport, LogisticSection, SphereSection, render_report
 
 
 @functools.lru_cache(maxsize=None)
@@ -205,17 +197,8 @@ def _cmd_aggregate(args: argparse.Namespace) -> tuple[DiagnosticReport, int]:
     field = MultiplicativeField(
         count=args.count, multiplier=args.multiplier, activation_prob=args.activation_prob
     )
-    summary = multiplier_range(field)
-    section = AggregateSection(
-        count=field.count,
-        multiplier=field.multiplier,
-        activation_prob=field.activation_prob,
-        sd_log=summary.sd_log,
-        low_multiplier=summary.low_multiplier,
-        high_multiplier=summary.high_multiplier,
-    )
     report = DiagnosticReport(
-        version=__version__, mode="aggregate", seed=None, aggregate=section
+        version=__version__, mode="aggregate", seed=None, aggregate=multiplier_range(field)
     )
     return report, 0
 
@@ -241,26 +224,16 @@ def _cmd_mi_check(args: argparse.Namespace) -> tuple[DiagnosticReport, int]:
     joint, file_outcome = load_joint_json(args.joint)
     outcome = args.outcome_index if args.outcome_index is not None else file_outcome
     mi = mi_piranha_check(joint, outcome, units=args.units)
-    section = MiSection(
-        outcome_index=outcome, units=args.units, report=mi, slack=mi.rhs - mi.lhs
-    )
-    report = DiagnosticReport(version=__version__, mode="mi-check", seed=None, mi=section)
+    report = DiagnosticReport(version=__version__, mode="mi-check", seed=None, mi=mi)
     return report, (0 if mi.satisfied else 1)
 
 
 def _cmd_tightness(args: argparse.Namespace) -> tuple[DiagnosticReport, int]:
-    inst = tightness_instance(args.p, args.tau)
-    section = TightnessSection(
-        p=inst.p,
-        tau=inst.tau,
-        implied_corr=inst.implied_corr,
-        off_diagonal=inst.tau**2,
-        sum_sq_corr=inst.sum_sq_corr,
-        lambda_max=inst.lambda_max,
-        gap=inst.lambda_max - inst.sum_sq_corr,
-    )
     report = DiagnosticReport(
-        version=__version__, mode="tightness", seed=None, tightness=section
+        version=__version__,
+        mode="tightness",
+        seed=None,
+        tightness=tightness_instance(args.p, args.tau),
     )
     return report, 0
 

@@ -63,8 +63,12 @@ class LogisticField:
 
 @dataclass(frozen=True)
 class AggregateSummary:
-    """Spread of the total multiplicative effect: one-sd band around neutral."""
+    """A multiplicative field and the spread of its total effect: the one-sd
+    band around neutral."""
 
+    count: int
+    multiplier: float
+    activation_prob: float
     sd_log: float
     low_multiplier: float
     high_multiplier: float
@@ -85,7 +89,14 @@ def multiplier_range(field: MultiplicativeField) -> AggregateSummary:
         raise InvalidShapeError(
             f"one-sd multiplier band exp({sd!r}) overflows a float"
         ) from None
-    return AggregateSummary(sd_log=sd, low_multiplier=math.exp(-sd), high_multiplier=high)
+    return AggregateSummary(
+        count=field.count,
+        multiplier=field.multiplier,
+        activation_prob=field.activation_prob,
+        sd_log=sd,
+        low_multiplier=math.exp(-sd),
+        high_multiplier=high,
+    )
 
 
 def logistic_total(field: LogisticField) -> float:

@@ -63,6 +63,12 @@ SINGULAR_VALUE_CUTOFF = 1e-12
 # Chan, Golub and LeVeque, 1983).
 _RECENTER = np.finfo(float).eps / 2 / math.sqrt(np.finfo(float).eps / 3)
 
+# A row whose squared norm falls outside this range may have overflowed, or lost
+# bits to underflow once centered (a row that is not constant keeps at least
+# 1e-28 of it), so it is first scaled by a power of two to a largest entry in
+# [0.5, 1).  That scaling is exact and standardizing is scale-invariant.
+_NORM_SQ_RANGE = (2.0**-600, 2.0**600)
+
 # Trials per vectorized batch in the Monte Carlo loops.  Part of the
 # determinism contract: a fixed seed always replays the same batch
 # boundaries and therefore the same accumulator arithmetic.
@@ -216,11 +222,19 @@ def _standardize_rows(a: np.ndarray) -> np.ndarray:
 
     A contiguous row's mean is numpy's pairwise sum, and its norm is
     ``sqrt(np.dot(r, r))``, which is what ``np.linalg.norm`` computes for 1-D
-    input, so every row gets the bits of standardizing it alone.  A row whose
-    mean may survive one centering pass (see ``_RECENTER``) is centered again.
+    input, so every row gets the bits of standardizing it alone.  A row near
+    either end of the float range is rescaled first (see ``_NORM_SQ_RANGE``),
+    and a row whose mean may survive one centering pass (see ``_RECENTER``) is
+    centered again.
     """
+    with np.errstate(over="ignore"):
+        raw_sq = np.array(list(map(np.dot, a, a)))
+    lo, hi = _NORM_SQ_RANGE
+    for i in np.flatnonzero(~((lo <= raw_sq) & (raw_sq <= hi))):
+        a[i] = np.ldexp(a[i], -math.frexp(np.abs(a[i]).max())[1])
+        raw_sq[i] = np.dot(a[i], a[i])
     means = a.mean(axis=1)
-    raw_norms = np.sqrt(list(map(np.dot, a, a)))
+    raw_norms = np.sqrt(raw_sq)
     a -= means[:, np.newaxis]
     norms = np.sqrt(list(map(np.dot, a, a)))
     constant = np.flatnonzero(norms <= CONSTANT_REL_TOLERANCE * raw_norms)

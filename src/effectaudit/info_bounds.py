@@ -223,14 +223,17 @@ class DiscreteJoint:
 
 @dataclass(frozen=True)
 class MIReport:
-    """Result of the summed-mutual-information check for one outcome."""
+    """Result of the summed-mutual-information check for one outcome, in ``units``."""
 
+    outcome_index: int
+    units: str
     per_var_mi: tuple[float, ...]
     per_var_leaveout_mi: tuple[float, ...]
     h_y: float
     lhs: float
     rhs: float
     satisfied: bool
+    slack: float  # rhs - lhs
 
 
 def _normalize_subset(joint: DiscreteJoint, subset: Iterable[int]) -> tuple[int, ...]:
@@ -310,23 +313,14 @@ def mi_piranha_check(
     rhs = float(h_y + sum(leaveout))
     scale = 1.0 if units == "nats" else 1.0 / _LN2
     return MIReport(
+        outcome_index=y,
+        units=units,
         per_var_mi=tuple(v * scale for v in per_var),
         per_var_leaveout_mi=tuple(v * scale for v in leaveout),
         h_y=h_y * scale,
         lhs=lhs * scale,
         rhs=rhs * scale,
         satisfied=bool(lhs <= rhs + MI_TOLERANCE),
+        slack=rhs * scale - lhs * scale,
     )
 
-
-def max_independent_informative(h_y: float, alpha: float) -> int:
-    """Most mutually independent variables that can each carry alpha about y.
-
-    floor(h_y / alpha) with a 1e-12 relative nudge against float
-    representation error; h_y and alpha must share units.
-    """
-    if alpha <= 0.0:
-        raise InvalidShapeError(f"alpha must be positive, got {alpha!r}")
-    if h_y < 0.0:
-        raise InvalidShapeError(f"entropy must be non-negative, got {h_y!r}")
-    return int(math.floor((h_y / alpha) * (1.0 + 1e-12)))

@@ -102,7 +102,7 @@ class RegressionSolution:
         object.__setattr__(self, "beta", b)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class TightnessInstance:
     """Equicorrelated construction on which the correlation-sum bound is tight.
 
@@ -115,16 +115,10 @@ class TightnessInstance:
     p: int
     tau: float
     implied_corr: float
-
-    @property
-    def lambda_max(self) -> float:
-        """Top eigenvalue of the equicorrelation matrix, in closed form."""
-        return 1.0 + (self.p - 1) * self.tau**2
-
-    @property
-    def sum_sq_corr(self) -> float:
-        """p * implied_corr^2; equals lambda_max exactly in real arithmetic."""
-        return self.p * self.implied_corr**2
+    off_diagonal: float  # tau^2
+    sum_sq_corr: float  # p * implied_corr^2; equals lambda_max in real arithmetic
+    lambda_max: float  # top eigenvalue of the equicorrelation matrix
+    gap: float  # lambda_max - sum_sq_corr
 
 
 def _check_corr_vector(corr_xy: np.ndarray) -> np.ndarray:
@@ -247,19 +241,6 @@ def fit_least_squares(m: SecondMomentMatrix, c: np.ndarray) -> RegressionSolutio
     return RegressionSolution(beta=beta, norm_sq=norm_sq, bound=bound, lambda_min=lam_min)
 
 
-def max_large_coefficients(lambda_min: float, tau: float) -> int:
-    """How many coefficients of magnitude above tau the norm bound allows.
-
-    floor(1 / (lambda_min tau^2)), with a 1e-9 relative nudge so values that
-    are integers in real arithmetic do not round down from float error.
-    """
-    for name, value in (("lambda_min", lambda_min), ("tau", tau)):
-        if not value > 0.0:
-            raise ValueOutOfRangeError(name, float(value), "must be positive")
-    v = 1.0 / (lambda_min * tau * tau)
-    return int(math.floor(v * (1.0 + 1e-9)))
-
-
 def tightness_instance(p: int, tau: float) -> TightnessInstance:
     """Build the equicorrelated instance where the correlation-sum bound is tight.
 
@@ -270,6 +251,16 @@ def tightness_instance(p: int, tau: float) -> TightnessInstance:
         raise DimensionMismatchError(f"p must be at least 1, got {p}")
     if not 0.0 <= tau <= 1.0:
         raise TauOutOfRangeError(tau)
-    num = 1.0 + (p - 1) * tau**2
-    implied = num / math.sqrt(p + p * (p - 1) * tau**2)
-    return TightnessInstance(p=p, tau=float(tau), implied_corr=float(implied))
+    t = float(tau)
+    lambda_max = 1.0 + (p - 1) * t**2
+    implied = lambda_max / math.sqrt(p + p * (p - 1) * t**2)
+    sum_sq = p * implied**2
+    return TightnessInstance(
+        p=p,
+        tau=t,
+        implied_corr=implied,
+        off_diagonal=t**2,
+        sum_sq_corr=sum_sq,
+        lambda_max=lambda_max,
+        gap=lambda_max - sum_sq,
+    )

@@ -663,12 +663,15 @@ def audit_dataset(ds: Dataset, cfg: AuditConfig) -> DiagnosticReport:
     )
 
 
-def _mass_requirement(mass: float, p: int) -> tuple[float | None, bool, bool]:
-    """(average |cross| required, vacuous, feasible) for a mass requirement."""
+def _mass_requirement(mass: float, p: int) -> MassRequirement:
+    """The average |cross| that a mass requirement asks of p variables, and
+    whether it is vacuous and feasible."""
     avg = None if p < 2 else mass / (p * (p - 1))
     vacuous = mass <= 0.0
     feasible = vacuous or avg is None or avg <= 1.0 + FEASIBILITY_TOLERANCE
-    return avg, vacuous, feasible
+    return MassRequirement(
+        cross_mass=mass, avg_abs_cross=avg, vacuous=vacuous, feasible=feasible
+    )
 
 
 def audit_claims(claims: ClaimSet, eps: float | None = None) -> DiagnosticReport:
@@ -684,8 +687,7 @@ def audit_claims(claims: ClaimSet, eps: float | None = None) -> DiagnosticReport
     """
     p = claims.p
     tau_min = float(np.min(claims.tau))
-    base_mass = claims_cross_mass(claims.tau)
-    base_avg, base_vac, base_feasible = _mass_requirement(base_mass, p)
+    base = _mass_requirement(claims_cross_mass(claims.tau), p)
 
     mo_req = None
     mo_bound = None
@@ -693,18 +695,15 @@ def audit_claims(claims: ClaimSet, eps: float | None = None) -> DiagnosticReport
         if not math.isfinite(eps) or eps < 0.0:
             raise InvalidShapeError(f"eps must be finite and non-negative, got {eps!r}")
         degenerate = multi_outcome_degenerate(tau_min, eps)
-        mo_mass = multi_outcome_min_mass(p, tau_min, eps)
-        mo_avg, mo_vac, mo_feasible = _mass_requirement(mo_mass, p)
-        if degenerate:
-            mo_feasible = True
+        mo = _mass_requirement(multi_outcome_min_mass(p, tau_min, eps), p)
         mo_req = MultiOutcomeRequirement(
             eps=float(eps),
             threshold=tau_min - math.sqrt(2.0 * eps),
-            cross_mass=mo_mass,
-            avg_abs_cross=mo_avg,
-            vacuous=mo_vac,
+            cross_mass=mo.cross_mass,
+            avg_abs_cross=mo.avg_abs_cross,
+            vacuous=mo.vacuous,
             degenerate=degenerate,
-            feasible=mo_feasible,
+            feasible=mo.feasible or degenerate,
         )
 
     vdc = None
@@ -726,7 +725,7 @@ def audit_claims(claims: ClaimSet, eps: float | None = None) -> DiagnosticReport
     else:
         # The multi-outcome requirement, when applicable, replaces the
         # single-outcome one (the claims then concern distinct outcomes).
-        feasible = mo_req.feasible if mo_req is not None else base_feasible
+        feasible = mo_req.feasible if mo_req is not None else base.feasible
 
     section = ClaimsSection(
         p=p,
@@ -734,12 +733,7 @@ def audit_claims(claims: ClaimSet, eps: float | None = None) -> DiagnosticReport
         tau_min=tau_min,
         eps=None if eps is None else float(eps),
         cross_supplied=claims.cross is not None,
-        base_requirement=MassRequirement(
-            cross_mass=base_mass,
-            avg_abs_cross=base_avg,
-            vacuous=base_vac,
-            feasible=base_feasible,
-        ),
+        base_requirement=base,
         multi_outcome_requirement=mo_req,
         cross_mass_actual=cross_mass_actual,
         vdc=vdc,

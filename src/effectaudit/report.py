@@ -19,9 +19,10 @@ from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from typing import get_args, get_origin, get_type_hints
 
+from .effect_models import AggregateSummary
 from .finite_sample import MonteCarloEstimate
 from .info_bounds import MIReport
-from .linear_bounds import FEASIBILITY_TOLERANCE, BoundReport
+from .linear_bounds import FEASIBILITY_TOLERANCE, BoundReport, TightnessInstance
 
 TOOL_NAME = "effectaudit"
 
@@ -96,41 +97,12 @@ class SphereSection:
 
 
 @dataclass(frozen=True)
-class AggregateSection:
-    count: int
-    multiplier: float
-    activation_prob: float
-    sd_log: float
-    low_multiplier: float
-    high_multiplier: float
-
-
-@dataclass(frozen=True)
 class LogisticSection:
     count: int
     per_effect_logit: float
     total_logit: float
     swing_low: float
     swing_high: float
-
-
-@dataclass(frozen=True)
-class MiSection:
-    outcome_index: int
-    units: str
-    report: MIReport
-    slack: float
-
-
-@dataclass(frozen=True)
-class TightnessSection:
-    p: int
-    tau: float
-    implied_corr: float
-    off_diagonal: float  # tau^2
-    sum_sq_corr: float
-    lambda_max: float
-    gap: float  # lambda_max - sum_sq_corr
 
 
 @dataclass(frozen=True)
@@ -143,18 +115,17 @@ class DiagnosticReport:
     dataset: DatasetAuditSection | None = None
     claims: ClaimsSection | None = None
     sphere: SphereSection | None = None
-    aggregate: AggregateSection | None = None
+    aggregate: AggregateSummary | None = None
     logistic: LogisticSection | None = None
-    mi: MiSection | None = None
-    tightness: TightnessSection | None = None
+    mi: MIReport | None = None
+    tightness: TightnessInstance | None = None
 
 
 # Where the JSON layout departs from the dataclass layout: a field's key path
-# inside its parent's object, or () to merge the field's keys into the parent.
+# inside its parent's object.
 _JSON_PATH = {
     **{(DatasetAuditSection, k): ("bounds", k) for k in ("vdc", "eigen", "regression")},
     **{(ClaimsSection, k): ("bounds", k) for k in ("vdc", "eigen", "multi_outcome")},
-    (MiSection, "report"): (),
 }
 
 # Fields where +inf means "no finite bound" (a singular design's regression
@@ -200,10 +171,7 @@ def _to_dict(obj) -> dict:
         v = getattr(obj, name)
         if v is not None and encode is not None:
             v = encode(v)
-        if path:
-            functools.reduce(lambda o, k: o.setdefault(k, {}), path[:-1], out)[path[-1]] = v
-        else:
-            out.update(v)
+        functools.reduce(lambda o, k: o.setdefault(k, {}), path[:-1], out)[path[-1]] = v
     return out
 
 
@@ -335,17 +303,17 @@ def render_text(r: DiagnosticReport) -> str:
     if r.mi is not None:
         m = r.mi
         lines.append(f"mutual information ({m.units}), outcome index {m.outcome_index}")
-        lines.append(f"  H(y) = {_fmt(_clamp_display(m.report.h_y))}")
-        per = ", ".join(_fmt(_clamp_display(v)) for v in m.report.per_var_mi)
+        lines.append(f"  H(y) = {_fmt(_clamp_display(m.h_y))}")
+        per = ", ".join(_fmt(_clamp_display(v)) for v in m.per_var_mi)
         lines.append(f"  I(X_i; y): {per}")
-        red = ", ".join(_fmt(_clamp_display(v)) for v in m.report.per_var_leaveout_mi)
+        red = ", ".join(_fmt(_clamp_display(v)) for v in m.per_var_leaveout_mi)
         lines.append(f"  I(X_i; X_-i): {red}")
         lines.append(
-            f"  sum I(X_i; y) = {_fmt(_clamp_display(m.report.lhs))}  vs  "
-            f"H(y) + sum I(X_i; X_-i) = {_fmt(_clamp_display(m.report.rhs))}"
+            f"  sum I(X_i; y) = {_fmt(_clamp_display(m.lhs))}  vs  "
+            f"H(y) + sum I(X_i; X_-i) = {_fmt(_clamp_display(m.rhs))}"
         )
         lines.append(
-            f"verdict: {'satisfied' if m.report.satisfied else 'VIOLATED'} "
+            f"verdict: {'satisfied' if m.satisfied else 'VIOLATED'} "
             f"(slack = {_fmt(m.slack)})"
         )
     if r.tightness is not None:

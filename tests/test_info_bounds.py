@@ -10,7 +10,6 @@ from effectaudit import (
     DiscreteJoint,
     entropy,
     load_joint_json,
-    max_independent_informative,
     mi_piranha_check,
     mutual_information,
 )
@@ -315,11 +314,3 @@ def test_grouping_inequality_on_random_joints():
             redund = mutual_information(j, [i], others) if others else 0.0
             acc += mutual_information(j, [i], [y]) - redund
         assert lhs_total >= acc - 1e-10
-
-
-def test_max_independent_informative():
-    # two bits of outcome entropy, half a bit each: at most 4 variables
-    assert max_independent_informative(2 * LN2, 0.5 * LN2) == 4
-    assert max_independent_informative(2.0, 0.5) == 4
-    assert max_independent_informative(1.0, 0.3) == 3
-    assert max_independent_informative(0.0, 0.5) == 0

@@ -32,14 +32,9 @@ from effectaudit import (
     parse_report,
     render_report,
 )
-from effectaudit.report import (
-    AggregateSection,
-    DiagnosticReport,
-    LogisticSection,
-    MiSection,
-    SphereSection,
-    TightnessSection,
-)
+from effectaudit.effect_models import AggregateSummary
+from effectaudit.linear_bounds import TightnessInstance
+from effectaudit.report import DiagnosticReport, LogisticSection, SphereSection
 from effectaudit import __version__, pipeline
 from effectaudit.cli import main
 from effectaudit.errors import (
@@ -1102,6 +1097,36 @@ def test_audit_names_a_column_at_an_offset_of_1e14_spreads():
         audit_dataset(ds, AuditConfig(outcome_column="y", trials=2))
 
 
+SCALE_COLUMNS = np.random.default_rng(600).standard_normal((5, 300))
+SCALE_REPORT = render_report(
+    audit_dataset(Dataset(column_names=("a", "b", "c", "d", "y"), columns=SCALE_COLUMNS),
+                  AuditConfig(outcome_column="y", trials=200, seed=1)),
+    "json",
+)
+
+
+@given(k=st.integers(min_value=-1000, max_value=1018), column=st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_audit_report_is_unchanged_by_a_power_of_two_scale(k, column):
+    # Scaling by 2^k is exact and correlations are scale-invariant, so the
+    # bytes must not move, even where squared entries overflow or underflow.
+    cols = SCALE_COLUMNS.copy()
+    cols[column] = np.ldexp(cols[column], k)
+    ds = Dataset(column_names=("a", "b", "c", "d", "y"), columns=cols)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = audit_dataset(ds, AuditConfig(outcome_column="y", trials=200, seed=1))
+    assert render_report(rep, "json") == SCALE_REPORT
+
+
+@pytest.mark.parametrize("value", [1e-300, 2.0**-1000, 5e-324, 1e300])
+def test_audit_names_a_constant_column_of_extreme_values(value):
+    a, y = np.random.default_rng(3).standard_normal((2, 50))
+    ds = Dataset(column_names=("a", "tiny", "y"), columns=(a, np.full(50, value), y))
+    with pytest.raises(ConstantColumnError, match="'tiny'"):
+        audit_dataset(ds, AuditConfig(outcome_column="y", trials=2))
+
+
 def test_audit_dataset_names_a_constant_predictor_before_a_constant_outcome():
     # the outcome comes first in the table, but predictors are named first
     ds = Dataset(
@@ -1246,16 +1271,13 @@ def sphere_report() -> DiagnosticReport:
 
 
 def other_mode_reports() -> list[DiagnosticReport]:
-    mi_rep = mi_piranha_check(
-        DiscreteJoint(alphabet_sizes=(2, 2), pmf={(0, 0): 0.5, (1, 1): 0.5}), 1
-    )
     return [
         sphere_report(),
         DiagnosticReport(
             version=__version__,
             mode="aggregate",
             seed=None,
-            aggregate=AggregateSection(
+            aggregate=AggregateSummary(
                 count=100,
                 multiplier=1.13,
                 activation_prob=0.5,
@@ -1280,18 +1302,15 @@ def other_mode_reports() -> list[DiagnosticReport]:
             version=__version__,
             mode="mi-check",
             seed=None,
-            mi=MiSection(
-                outcome_index=1,
-                units="nats",
-                report=mi_rep,
-                slack=mi_rep.rhs - mi_rep.lhs,
+            mi=mi_piranha_check(
+                DiscreteJoint(alphabet_sizes=(2, 2), pmf={(0, 0): 0.5, (1, 1): 0.5}), 1
             ),
         ),
         DiagnosticReport(
             version=__version__,
             mode="tightness",
             seed=None,
-            tightness=TightnessSection(
+            tightness=TightnessInstance(
                 p=100,
                 tau=0.3,
                 implied_corr=0.31479103942973133,
