@@ -66,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--outcome", required=True, help="outcome column name")
     p_audit.add_argument("--trials", type=int, default=100_000)
     p_audit.add_argument("--seed", type=int, default=0)
-    p_audit.add_argument("--psd-tolerance", type=float, default=1e-8)
     add_format(p_audit)
 
     p_claims = sub.add_parser("check-claims", help="joint feasibility of claimed correlations")
@@ -125,12 +124,7 @@ def _stage_seeds(seed: int, count: int) -> list[int]:
 
 def _cmd_audit(args: argparse.Namespace) -> tuple[DiagnosticReport, int]:
     _check_seed(args.seed)
-    cfg = AuditConfig(
-        outcome_column=args.outcome,
-        trials=args.trials,
-        seed=args.seed,
-        psd_tolerance=args.psd_tolerance,
-    )
+    cfg = AuditConfig(outcome_column=args.outcome, trials=args.trials, seed=args.seed)
     report = audit_dataset(load_csv_file(args.csv), cfg)
     d = report.dataset
     ok = d.vdc.satisfied and d.eigen.satisfied and d.regression.satisfied

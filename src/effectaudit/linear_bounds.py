@@ -220,20 +220,25 @@ def fit_least_squares(m: SecondMomentMatrix, c: np.ndarray) -> RegressionSolutio
     ``m`` is the second-moment matrix E(X X^T) and ``c`` the cross-moment
     vector E(y X) for a unit-variance y under the same distribution (the
     caller's responsibility).  A numerically singular ``m`` (lambda_min at or
-    below RANK_TOLERANCE relative to lambda_max) yields the minimum-norm
-    solution and a bound of +inf: with a zero eigenvalue the norm bound is
-    trivially infinite.
+    below RANK_TOLERANCE relative to lambda_max) yields a bound of +inf: with
+    a zero eigenvalue the norm bound is trivially infinite.  Its coefficients
+    are the minimum-norm solution with every direction at or below that same
+    cutoff dropped, so beta has no part along a direction the bound calls
+    singular.
     """
     cv = np.asarray(c, dtype=float)
     if cv.ndim != 1 or cv.size != m.dim:
         raise DimensionMismatchError(
             f"c has shape {cv.shape}, expected ({m.dim},)"
         )
-    lam_min = m.min_eigenvalue
-    cutoff = RANK_TOLERANCE * max(1.0, m.max_eigenvalue)
+    lam_min, lam_max = m.min_eigenvalue, m.max_eigenvalue
+    cutoff = RANK_TOLERANCE * max(1.0, lam_max)
     if lam_min <= cutoff:
-        beta = np.linalg.lstsq(m.entries, cv, rcond=None)[0]
         bound = math.inf
+        if lam_max <= cutoff:  # every direction is singular
+            beta = np.zeros(m.dim)
+        else:  # lstsq drops the singular values at or below rcond * sigma_max
+            beta = np.linalg.lstsq(m.entries, cv, rcond=cutoff / lam_max)[0]
     else:
         beta = np.linalg.solve(m.entries, cv)
         bound = 1.0 / lam_min

@@ -137,15 +137,10 @@ class AuditConfig:
     outcome_column: str | int = -1
     trials: int = 100_000
     seed: int = 0
-    psd_tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.trials < 2:
             raise InvalidShapeError(f"need at least 2 trials, got {self.trials}")
-        if not (math.isfinite(self.psd_tolerance) and self.psd_tolerance >= 0.0):
-            raise InvalidShapeError(
-                f"psd tolerance must be finite and non-negative, got {self.psd_tolerance!r}"
-            )
 
 
 def _parse_cell(cell: str, row: int, col: int) -> float:
@@ -266,7 +261,8 @@ def load_claims_json(
     path is resolved against the claims file's directory.  With
     ``read_cross=False`` (the caller supplies its own matrix) ``cross`` is
     type-checked but its file is not read, and the claim set has no cross
-    matrix.  Returns the claim set and the file's eps (None when absent).
+    matrix.  More than ``MAX_CLAIMS`` claims are refused, as ``--p`` is.
+    Returns the claim set and the file's eps (None when absent).
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = _json_loads(fh.read(), path)
@@ -275,6 +271,10 @@ def load_claims_json(
     tau = raw["tau"]
     if not isinstance(tau, list):
         raise InvalidJointError(f"claims 'tau' must be an array, got {echo(json.dumps(tau))}")
+    if len(tau) > MAX_CLAIMS:
+        raise InvalidJointError(
+            f"{os.fspath(path)}: {len(tau)} claims is over the cap of {MAX_CLAIMS}"
+        )
     for i, t in enumerate(tau):
         if not _is_json_number(t):
             raise InvalidJointError(
@@ -322,11 +322,9 @@ _ATOMS_OPEN = b'"atoms":['
 _ATOM_OPEN = b'{"tuple":['
 _ATOM_SEP = b'},{"tuple":['
 _JOINT_KEYS = {"alphabet_sizes", "outcome_index", "atoms"}
-# Below this file size json.loads is faster than the compact reader, whose
-# fixed cost is about 0.1 ms.  On a 2-vCPU Xeon (numpy 2.4) the two took the
-# same time at 1.3-2.2 kB (k = 2..5; a 181-byte 2x2 joint: 0.10 against
-# 0.07 ms; 4.6 kB: 0.22 against 0.30 ms).
-_COMPACT_MIN_BYTES = 2048
+# A file over MAX_JSON_JOINT_BYTES is read in full only when its atoms array
+# opens within this many bytes of its start.
+_HEAD_BYTES = 2048
 # The atoms array is parsed in chunks of about this many bytes, each cut
 # where an atom separator begins, so the parse holds one chunk's text,
 # masks and lines at a time besides the file and the result arrays.  On the
@@ -473,8 +471,8 @@ def _read_compact_joint(
     """(alphabet sizes, outcome index, atom indices, probabilities) of a joint
     file in the compact layout, or None for any other file.
 
-    Only files of at least ``_COMPACT_MIN_BYTES`` are read, one over
-    ``MAX_JSON_JOINT_BYTES`` only that far unless the atoms array opens there.
+    Any size is read, except that a file over ``MAX_JSON_JOINT_BYTES`` is
+    read only as far as ``_HEAD_BYTES`` unless the atoms array opens there.
     The atoms array runs from the first ``"atoms":[{"tuple":[`` to the last ``}]``;
     everything outside it must be ASCII without a backslash, and is parsed
     by ``json.loads`` with the array replaced by ``[]``.  It must hold
@@ -485,10 +483,8 @@ def _read_compact_joint(
     """
     try:
         size = os.stat(path).st_size
-        if size < _COMPACT_MIN_BYTES:
-            return None
         with open(path, "rb") as fh:
-            head = fh.read(_COMPACT_MIN_BYTES)
+            head = fh.read(_HEAD_BYTES)
             if size > MAX_JSON_JOINT_BYTES and _ATOMS_OPEN + _ATOM_OPEN not in head:
                 return None
             fh.seek(0)  # one read of the whole file, not head + rest copied again
@@ -625,15 +621,14 @@ def audit_dataset(ds: Dataset, cfg: AuditConfig) -> DiagnosticReport:
         first = next(i for i in pred_idx + [y_idx] if i in exc.rows)
         raise ConstantColumnError(ds.column_names[first]) from None
     gram = rows @ rows.T
-    cross = validate_correlation(
-        SymMatrix.symmetrized(gram[np.ix_(pred_idx, pred_idx)]), cfg.psd_tolerance
-    )
+    # A Gram product of standardized rows is PSD by construction, so the PSD
+    # test takes the library's default tolerance; it only absorbs rounding.
+    cross = validate_correlation(SymMatrix.symmetrized(gram[np.ix_(pred_idx, pred_idx)]))
     corr_xy = gram[pred_idx, y_idx]
 
     vdc = vdc_check(corr_xy, cross)
     eigen = eigen_bound_check(corr_xy, cross)
-    second_moment = SecondMomentMatrix(cross.base, cfg.psd_tolerance)
-    fit = fit_least_squares(second_moment, corr_xy)
+    fit = fit_least_squares(SecondMomentMatrix(cross.base), corr_xy)
     regression = BoundReport.from_sides(BoundKind.REGRESSION, fit.norm_sq, fit.bound)
 
     spectrum = cross.base.eigen.values

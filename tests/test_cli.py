@@ -288,6 +288,17 @@ def test_check_claims_p_cap_is_inclusive(capsys, monkeypatch):
     assert code == 2 and "--p must be at most 50, got 51" in err
 
 
+def test_claims_file_obeys_the_claims_cap(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "MAX_CLAIMS", 3)
+    claims = tmp_path / "claims.json"
+    claims.write_text(json.dumps({"tau": [0.1] * 3}))
+    assert run(capsys, "check-claims", "--claims", str(claims))[0] == 0
+    claims.write_text(json.dumps({"tau": [0.1] * 4}))
+    code, out, err = run(capsys, "check-claims", "--claims", str(claims))
+    assert code == 2 and out == ""
+    assert f"{claims}: 4 claims is over the cap of 3" in err
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_check_claims_memory_per_claim_is_bounded(capsys, fmt):
     # the bytes per claim behind the --p cap, with the longest repr a tau in
@@ -528,13 +539,6 @@ def test_tightness_json(capsys):
 def test_tightness_bad_tau_exit_two(capsys):
     code, _, err = run(capsys, "tightness", "--p", "10", "--tau", "1.5")
     assert code == 2 and "error" in err
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8"])
-def test_audit_bad_psd_tolerance_exit_two(capsys, tol):
-    code, out, err = run(capsys, "audit", BOUNDARY_CSV, "--outcome", "y", f"--psd-tolerance={tol}")
-    assert code == 2 and out == ""
-    assert "psd tolerance must be finite and non-negative" in err
 
 
 @pytest.mark.parametrize("argv,message", [

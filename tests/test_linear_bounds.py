@@ -159,6 +159,11 @@ def test_fit_least_squares_singular_gives_infinite_bound():
     assert np.abs(a @ fit.beta - np.array([0.5, 0.5])).max() <= 1e-9
 
 
+def test_fit_least_squares_zero_matrix_gives_zero_beta():
+    fit = fit_least_squares(SecondMomentMatrix(SymMatrix(np.zeros((2, 2)))), np.array([0.5, 0.5]))
+    assert fit.bound == math.inf and fit.beta.tolist() == [0.0, 0.0]
+
+
 def test_tightness_instance_formula_and_limits():
     # implied_corr must match the closed form; oracle is the simplified
     # algebraic equivalent sqrt((1 + (p-1) tau^2) / p)

@@ -567,8 +567,7 @@ def test_compact_reader_equals_the_json_loads_route(tmp_path_factory, text, muta
         text = mutate(text, data)
     path = tmp_path_factory.mktemp("joint") / "joint.json"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(pipeline, "_COMPACT_MIN_BYTES", 0), \
-            mock.patch.object(pipeline, "_CHUNK_BYTES", chunk):
+    with mock.patch.object(pipeline, "_CHUNK_BYTES", chunk):
         if mutations == 0:
             assert pipeline._read_compact_joint(path) is not None
         assert joint_outcome(path) == json_loads_outcome(path)
@@ -644,9 +643,8 @@ NOT_COMPACT = {
 def test_compact_reader_leaves_other_files_to_json_loads(tmp_path, content):
     path = tmp_path / "joint.json"
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
-    with mock.patch.object(pipeline, "_COMPACT_MIN_BYTES", 0):
-        assert pipeline._read_compact_joint(path) is None
-        assert joint_outcome(path) == json_loads_outcome(path)
+    assert pipeline._read_compact_joint(path) is None
+    assert joint_outcome(path) == json_loads_outcome(path)
 
 
 # Compact files the reader takes; those with an invalid joint go on to json.loads.
@@ -678,9 +676,8 @@ COMPACT = {
 def test_compact_reader_reads_the_compact_layout(tmp_path, content):
     path = tmp_path / "joint.json"
     path.write_text(content)
-    with mock.patch.object(pipeline, "_COMPACT_MIN_BYTES", 0):
-        assert pipeline._read_compact_joint(path) is not None
-        assert joint_outcome(path) == json_loads_outcome(path)
+    assert pipeline._read_compact_joint(path) is not None
+    assert joint_outcome(path) == json_loads_outcome(path)
 
 
 @pytest.mark.parametrize("content", [*COMPACT.values(), *NOT_COMPACT.values()],
@@ -688,8 +685,7 @@ def test_compact_reader_reads_the_compact_layout(tmp_path, content):
 def test_compact_reader_cut_at_every_atom_equals_the_json_loads_route(tmp_path, content):
     path = tmp_path / "joint.json"
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
-    with mock.patch.object(pipeline, "_COMPACT_MIN_BYTES", 0), \
-            mock.patch.object(pipeline, "_CHUNK_BYTES", 1):
+    with mock.patch.object(pipeline, "_CHUNK_BYTES", 1):
         assert (pipeline._read_compact_joint(path) is not None) == (content in COMPACT.values())
         assert joint_outcome(path) == json_loads_outcome(path)
 
@@ -703,8 +699,7 @@ def test_chunks_end_where_an_atom_separator_begins(tmp_path, chunk, pieces):
     per_chunk = len(atoms) // pieces
     expected = ['},{"tuple":['.join(atoms[i:i + per_chunk]).encode()
                 for i in range(0, len(atoms), per_chunk)]
-    with mock.patch.object(pipeline, "_COMPACT_MIN_BYTES", 0), \
-            mock.patch.object(pipeline, "_CHUNK_BYTES", chunk), \
+    with mock.patch.object(pipeline, "_CHUNK_BYTES", chunk), \
             mock.patch.object(pipeline, "_compact_atoms", wraps=pipeline._compact_atoms) as spy:
         assert pipeline._read_compact_joint(path) is not None
     assert [c.args for c in spy.call_args_list] == [(body, 2) for body in expected]
@@ -722,7 +717,6 @@ def test_compact_reader_leaves_deep_nesting_to_json_loads(tmp_path):
     path = tmp_path / "joint.json"
     nested = "[" * 100_000 + "2" + "]" * 100_000
     path.write_text(BASE_TEXT.replace('"alphabet_sizes":[2,3]', '"alphabet_sizes":' + nested))
-    assert os.path.getsize(path) >= pipeline._COMPACT_MIN_BYTES
     assert pipeline._read_compact_joint(path) is None
     with pytest.raises(InvalidJointError, match="JSON nested too deeply to read"):
         load_joint_json(path)
@@ -738,8 +732,7 @@ def test_float_indices_never_reach_the_reader(tmp_path, name):
     # byte tests, not the reader, must reject '.' and 'e' in an index
     path = tmp_path / "joint.json"
     path.write_text(NOT_COMPACT[name])
-    with mock.patch.object(pipeline, "_COMPACT_MIN_BYTES", 0), \
-            mock.patch.object(pipeline.np, "loadtxt", side_effect=AssertionError("loadtxt")):
+    with mock.patch.object(pipeline.np, "loadtxt", side_effect=AssertionError("loadtxt")):
         assert pipeline._read_compact_joint(path) is None
 
 
@@ -752,11 +745,10 @@ def test_a_reader_warning_sends_the_file_to_json_loads(tmp_path):
         warnings.warn("float in an integer field", DeprecationWarning)
         return loadtxt(*args, **kwargs)
 
-    with mock.patch.object(pipeline, "_COMPACT_MIN_BYTES", 0):
-        assert pipeline._read_compact_joint(path) is not None
-        with mock.patch.object(pipeline.np, "loadtxt", warning_loadtxt):
-            assert pipeline._read_compact_joint(path) is None
-            assert joint_outcome(path) == json_loads_outcome(path)
+    assert pipeline._read_compact_joint(path) is not None
+    with mock.patch.object(pipeline.np, "loadtxt", warning_loadtxt):
+        assert pipeline._read_compact_joint(path) is None
+        assert joint_outcome(path) == json_loads_outcome(path)
 
 
 def write_compact_joint(path, sizes):
@@ -768,7 +760,6 @@ def write_compact_joint(path, sizes):
 
 def test_compact_joint_atoms_never_reach_json_loads(tmp_path):
     path = write_compact_joint(tmp_path / "joint.json", (4, 4, 4))
-    assert os.path.getsize(path) >= pipeline._COMPACT_MIN_BYTES
     expected = json_loads_outcome(path)
     loads = json.loads
 
@@ -809,7 +800,6 @@ def test_joint_over_the_json_cap_is_read_only_in_the_compact_layout(tmp_path, mo
     loose.write_text(json.dumps(json.loads(good.read_text())))
     bad_message = json_loads_outcome(bad)[1]
     monkeypatch.setattr(pipeline, "MAX_JSON_JOINT_BYTES", 100)
-    assert min(map(os.path.getsize, (good, bad))) >= pipeline._COMPACT_MIN_BYTES
     assert load_joint_json(good)[0].table.size == len(cells)
     # the compact route names the fault of an invalid compact joint, not the cap
     with pytest.raises(InvalidJointError) as exc:
@@ -817,14 +807,6 @@ def test_joint_over_the_json_cap_is_read_only_in_the_compact_layout(tmp_path, mo
     assert str(exc.value) == bad_message and "sum" in bad_message
     with pytest.raises(InvalidJointError, match="-byte cap for a joint file not in the compact"):
         load_joint_json(loose)
-
-
-def test_small_joint_files_are_read_by_json_loads(tmp_path):
-    path = write_compact_joint(tmp_path / "joint.json", (2, 2))
-    assert os.path.getsize(path) < pipeline._COMPACT_MIN_BYTES
-    with mock.patch.object(pipeline.json, "loads", wraps=json.loads) as spy:
-        load_joint_json(path)
-    assert [c.args for c in spy.call_args_list] == [(path.read_text(),)]
 
 
 def test_audit_dataset_boundary_equalities():
@@ -892,6 +874,21 @@ def test_audit_dataset_decomposes_once(eig_calls, design):
         ds = load_csv_file(DUPLICATED_CSV)
     audit_dataset(ds, AuditConfig(outcome_column="y", trials=1000))
     assert eig_calls == {"eigh": 1, "eigvalsh": 0}
+
+
+def test_regression_coefficients_use_the_bounds_cutoff():
+    # a near-duplicate column (noise 1e-6): lambda_min, about 5e-13, is at or
+    # below the bound's cutoff, so the bound is +inf and beta must have no
+    # part along that direction
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((5000, 3))
+    x[:, 2] = x[:, 0] + 1e-6 * rng.standard_normal(5000)
+    y = x @ [0.3, -0.2, 0.1] + rng.standard_normal(5000)
+    ds = Dataset(column_names=("a", "b", "c", "y"), columns=np.column_stack([x, y]).T)
+    d = audit_dataset(ds, AuditConfig(outcome_column="y", trials=2)).dataset
+    assert d.regression.rhs == math.inf and d.regression.lhs < 1.0
+    dropped = np.linalg.eigh(d.predictor_correlations)[1][:, 0]
+    assert abs(dropped @ d.beta) < 1e-6
 
 
 @pytest.mark.parametrize("argv", [
@@ -982,8 +979,8 @@ def per_column_audit_json(ds: Dataset, cfg: AuditConfig) -> str:
     gram = table @ table.T
     corr_xy = np.array([gram[i, y_idx] for i in pred_idx])
     block = np.array([[gram[i, j] for j in pred_idx] for i in pred_idx])
-    cross = validate_correlation(SymMatrix.symmetrized(block), cfg.psd_tolerance)
-    fit = fit_least_squares(SecondMomentMatrix(cross.base, cfg.psd_tolerance), corr_xy)
+    cross = validate_correlation(SymMatrix.symmetrized(block))
+    fit = fit_least_squares(SecondMomentMatrix(cross.base), corr_xy)
     sv = svd(table, pred_idx, cross.base.eigen)
     section = DatasetAuditSection(
         n=ds.n,
