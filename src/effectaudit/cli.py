@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Sequence
 
@@ -253,10 +252,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         report, status = _COMMANDS[args.command](args)
         # Strict JSON: a non-finite number in a report is a ValueError here.
         out = render_report(report, args.format)
-    except EffectAuditError as exc:
-        print(f"effectaudit: error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError, OverflowError) as exc:
+    except (EffectAuditError, OSError, ValueError, OverflowError) as exc:
         print(f"effectaudit: error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(out)

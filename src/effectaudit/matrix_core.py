@@ -115,12 +115,11 @@ class SecondMomentMatrix:
     """
 
     base: SymMatrix
-    psd_tolerance: float = DEFAULT_PSD_TOLERANCE
 
     def __post_init__(self):
         lam_min = self.min_eigenvalue
-        if lam_min < -self.psd_tolerance:
-            raise NotPositiveSemiDefiniteError(lam_min, self.psd_tolerance)
+        if lam_min < -DEFAULT_PSD_TOLERANCE:
+            raise NotPositiveSemiDefiniteError(lam_min, DEFAULT_PSD_TOLERANCE)
 
     @property
     def entries(self) -> np.ndarray:
@@ -177,14 +176,12 @@ def _cheap_correlation_violations(m: SymMatrix) -> list[EffectAuditError]:
     return found
 
 
-def validate_correlation(
-    m: SymMatrix, psd_tolerance: float = DEFAULT_PSD_TOLERANCE
-) -> CorrelationMatrix:
+def validate_correlation(m: SymMatrix) -> CorrelationMatrix:
     """Check all correlation-matrix invariants and return the validated type.
 
     Raises :class:`CorrelationValidationError` whose ``violations`` list holds
     one record per broken invariant: off-unit diagonal entries, out-of-range
-    off-diagonal entries, and a minimum eigenvalue below ``-psd_tolerance``.
+    off-diagonal entries, and a minimum eigenvalue below ``-DEFAULT_PSD_TOLERANCE``.
     """
     # The constructor makes the cheap checks; their violations come first.
     try:
@@ -192,8 +189,8 @@ def validate_correlation(
     except CorrelationValidationError as exc:
         corr, violations = None, exc.violations
     lam_min = m.eigen.min_value
-    if lam_min < -psd_tolerance:
-        violations.append(NotPositiveSemiDefiniteError(lam_min, psd_tolerance))
+    if lam_min < -DEFAULT_PSD_TOLERANCE:
+        violations.append(NotPositiveSemiDefiniteError(lam_min, DEFAULT_PSD_TOLERANCE))
     if violations:
         raise CorrelationValidationError(violations)
     return corr

@@ -74,13 +74,16 @@ MIN_ROWS = 3
 _CLAIM_BYTES = 256
 MAX_CLAIMS = MEMORY_BUDGET // _CLAIM_BYTES
 
-# What reading a joint file through json.loads holds per byte of file
-# (tracemalloc peak of load_joint_json over the file size: 7.9-8.5 with
-# json.dumps' default separators at k = 2 to 18 variables and 1-27 MB, 12.6
-# and 13.3 at k = 1 with 10^5 atoms; 4.6-5.4 indented).  A file that the
-# compact reader declines is refused above MAX_JSON_JOINT_BYTES.
-_JSON_JOINT_BYTES = 16
-MAX_JSON_JOINT_BYTES = MEMORY_BUDGET // _JSON_JOINT_BYTES
+# What each loader holds per byte of its file, as a tracemalloc peak over the
+# file size on the worst spelling measured (2-32 MB files, 2-vCPU Xeon, numpy
+# 2.4): 13.3 for json.loads of a joint (k = 1, 10^5 atoms; 7.9-8.5 at k = 2 to
+# 18), 26.4 for a CSV (one column of two-digit cells; 17.0 for a matrix of
+# one-digit cells, 3.0-5.9 with repr cells), 12.2 for a claims file ("0"
+# claims).  A file over MEMORY_BUDGET divided by that figure rounded up to a
+# power of two is refused before it is read.
+MAX_JSON_JOINT_BYTES = MEMORY_BUDGET // 16
+MAX_CSV_BYTES = MEMORY_BUDGET // 32
+MAX_CLAIMS_BYTES = MEMORY_BUDGET // 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,8 +232,27 @@ def load_csv(data: bytes) -> Dataset:
 
 
 def load_csv_file(path: str | os.PathLike) -> Dataset:
+    return load_csv(_read_input(path, MAX_CSV_BYTES, "CSV file"))
+
+
+def _read_input(path: str | os.PathLike, cap: int, what: str, *,
+                error=InvalidShapeError, head: bytes | None = None) -> bytes:
+    """The bytes of the file at ``path``, from one ``open`` and one ``fstat``.
+
+    A file over ``cap`` bytes raises ``error``, naming the file, its size and
+    the cap, before it is read, unless ``head`` occurs in its first
+    ``_HEAD_BYTES``; it is then read whole, and the caller judges it.
+    """
     with open(path, "rb") as fh:
-        return load_csv(fh.read())
+        size = os.fstat(fh.fileno()).st_size
+        if size > cap and (head is None or head not in fh.read(_HEAD_BYTES)):
+            raise error(_over_cap(path, size, cap, what))
+        fh.seek(0)
+        return fh.read()
+
+
+def _over_cap(path: str | os.PathLike, size: int, cap: int, what: str) -> str:
+    return f"{os.fspath(path)}: {size} bytes is over the {cap}-byte cap for a {what}"
 
 
 def load_matrix_csv(path: str | os.PathLike) -> CorrelationMatrix:
@@ -238,8 +260,7 @@ def load_matrix_csv(path: str | os.PathLike) -> CorrelationMatrix:
 
     The matrix is symmetrized exactly, then fully validated.
     """
-    with open(path, "rb") as fh:
-        lines = _split_lines(fh.read())
+    lines = _split_lines(_read_input(path, MAX_CSV_BYTES, "CSV file"))
     if len(lines) < 2:
         raise TooFewRowsError("matrix file needs a header row and at least one data row")
     width = len(lines[0].split(","))
@@ -264,8 +285,9 @@ def load_claims_json(
     matrix.  More than ``MAX_CLAIMS`` claims are refused, as ``--p`` is.
     Returns the claim set and the file's eps (None when absent).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = _json_loads(fh.read(), path)
+    raw = _json_loads(
+        _read_input(path, MAX_CLAIMS_BYTES, "claims file", error=InvalidJointError), path
+    )
     if not isinstance(raw, dict) or "tau" not in raw:
         raise InvalidJointError("claims file must be a JSON object with a 'tau' array")
     tau = raw["tau"]
@@ -301,8 +323,10 @@ def load_claims_json(
     )
 
 
-def _json_loads(text: str, path: str | os.PathLike) -> object:
-    """``json.loads``, with nesting too deep for its decoder reported as bad input."""
+def _json_loads(data: bytes, path: str | os.PathLike) -> object:
+    """``json.loads`` of UTF-8 bytes with universal newlines, as a text-mode
+    read gives them, with nesting too deep for its decoder reported as bad input."""
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text)
     except RecursionError:
@@ -442,8 +466,8 @@ def _chunked_atoms(
     atoms, which is trusted only when the text has room for that many atoms:
     a valid atom ``{"tuple":[i,...],"prob":x}`` takes at least 2k + 20
     bytes, so a count above (end - start) / (2k + 10) returns None before
-    anything is allocated.  A chunk that fails, or a count that does not
-    match, returns None too.
+    anything is allocated.  A chunk that fails, a count that does not match,
+    or a non-finite probability (``json.loads`` names its atom) returns None too.
     """
     n = data.count(_ATOM_OPEN, start, end)
     if n * (2 * k + 10) > end - start:
@@ -461,18 +485,14 @@ def _chunked_atoms(
         idx[rows], probs[rows] = atoms
         filled = rows.stop
         if cut < 0:
-            return (idx, probs) if filled == n else None
+            return (idx, probs) if filled == n and np.isfinite(probs).all() else None
         lo = cut + len(_ATOM_SEP)
 
 
-def _read_compact_joint(
-    path: str | os.PathLike,
-) -> tuple[list, int, np.ndarray, np.ndarray] | None:
+def _read_compact_joint(data: bytes) -> tuple[list, int, np.ndarray, np.ndarray] | None:
     """(alphabet sizes, outcome index, atom indices, probabilities) of a joint
-    file in the compact layout, or None for any other file.
+    file's bytes in the compact layout, or None for any other file.
 
-    Any size is read, except that a file over ``MAX_JSON_JOINT_BYTES`` is
-    read only as far as ``_HEAD_BYTES`` unless the atoms array opens there.
     The atoms array runs from the first ``"atoms":[{"tuple":[`` to the last ``}]``;
     everything outside it must be ASCII without a backslash, and is parsed
     by ``json.loads`` with the array replaced by ``[]``.  It must hold
@@ -481,16 +501,6 @@ def _read_compact_joint(
     only be the top-level ``atoms`` (a second ``"atoms":[{"tuple":[`` cannot
     hide there, and within the array it fails the byte tests).
     """
-    try:
-        size = os.stat(path).st_size
-        with open(path, "rb") as fh:
-            head = fh.read(_HEAD_BYTES)
-            if size > MAX_JSON_JOINT_BYTES and _ATOMS_OPEN + _ATOM_OPEN not in head:
-                return None
-            fh.seek(0)  # one read of the whole file, not head + rest copied again
-            data = fh.read()
-    except OSError:
-        return None
     head = data.find(_ATOMS_OPEN + _ATOM_OPEN)
     end = data.rfind(b"}]") + 1
     if head < 0 or end <= head:
@@ -513,34 +523,30 @@ def _read_compact_joint(
     return None if atoms is None else (sizes, outcome, *atoms)
 
 
+_JOINT_FILE = ('joint file not in the compact layout; a file written by '
+               'json.dumps(obj, separators=(",", ":")) has no such cap')
+
+
 def load_joint_json(path: str | os.PathLike) -> tuple[DiscreteJoint, int]:
     """Read a joint pmf file: alphabet_sizes, outcome_index, atoms [{tuple, prob}].
 
-    A file in the compact layout is read by ``_read_compact_joint``; every
-    other file, and a compact one whose joint is invalid, through ``json.loads``,
-    which gives the same joint or raises the error.  A file larger than
-    ``MAX_JSON_JOINT_BYTES`` is refused before ``json.loads`` reads it (a
-    compact one raises its own joint's error instead).  JSON booleans are
-    rejected wherever an integer or number is expected.
+    The file is read once.  A file in the compact layout is parsed by
+    ``_read_compact_joint``, and every other file by ``json.loads``, which
+    gives the same joint or the same error.  A file larger than
+    ``MAX_JSON_JOINT_BYTES`` is refused unless it is in the compact layout,
+    and it is read only when its atoms array opens in its first
+    ``_HEAD_BYTES``.  JSON booleans are rejected wherever an integer or
+    number is expected.
     """
-    compact = _read_compact_joint(path)
-    size = os.stat(path).st_size
+    data = _read_input(path, MAX_JSON_JOINT_BYTES, _JOINT_FILE, error=InvalidJointError,
+                       head=_ATOMS_OPEN + _ATOM_OPEN)
+    compact = _read_compact_joint(data)
     if compact is not None:
         sizes, outcome, idx, probs = compact
-        try:
-            return DiscreteJoint(sizes, atoms=idx, probs=probs), outcome
-        except InvalidJointError:
-            if size > MAX_JSON_JOINT_BYTES:
-                raise
-    if size > MAX_JSON_JOINT_BYTES:
-        raise InvalidJointError(
-            f"{os.fspath(path)}: {size} bytes is over the {MAX_JSON_JOINT_BYTES}-byte cap "
-            f"for a joint file not in the compact layout; a file written by "
-            f"json.dumps(obj, separators=(\",\", \":\")) has no such cap"
-        )
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    raw = _json_loads(text, path)
+        return DiscreteJoint(sizes, atoms=idx, probs=probs), outcome
+    if len(data) > MAX_JSON_JOINT_BYTES:
+        raise InvalidJointError(_over_cap(path, len(data), MAX_JSON_JOINT_BYTES, _JOINT_FILE))
+    raw = _json_loads(data, path)
     for key in ("alphabet_sizes", "outcome_index", "atoms"):
         if not isinstance(raw, dict) or key not in raw:
             raise InvalidJointError(f"joint pmf file is missing {key!r}")
@@ -550,7 +556,7 @@ def load_joint_json(path: str | os.PathLike) -> tuple[DiscreteJoint, int]:
     except (KeyError, TypeError):
         raise InvalidJointError("each atom needs 'tuple' and 'prob'") from None
     # A JSON true or false is spelled out in the text, so only then walk the atoms.
-    if "true" in text or "false" in text:
+    if b"true" in data or b"false" in data:
         _reject_booleans(raw["alphabet_sizes"], atoms, probs)
     joint = DiscreteJoint(raw["alphabet_sizes"], atoms=atoms, probs=probs)
     outcome = raw["outcome_index"]

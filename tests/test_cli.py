@@ -765,9 +765,20 @@ _MAXRSS_RUNNER = """
 import resource, sys
 from effectaudit.cli import main
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-code = main(["mi-check", sys.argv[1]])
+code = main(sys.argv[1:])
 print(code, before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
+
+
+def maxrss_rise(*argv):
+    """The exit code, stderr and ru_maxrss rise (KiB) of main(argv) in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAXRSS_RUNNER, *argv],
+        capture_output=True, text=True, timeout=60, check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    code, before, after = map(int, proc.stdout.split())
+    return code, proc.stderr, after - before
 
 
 def test_mi_check_refuses_a_file_over_the_cap_before_reading_it(tmp_path):
@@ -776,14 +787,9 @@ def test_mi_check_refuses_a_file_over_the_cap_before_reading_it(tmp_path):
     joint = tmp_path / "joint.json"
     with open(joint, "wb") as fh:
         fh.truncate(pipeline.MAX_JSON_JOINT_BYTES + 1)
-    proc = subprocess.run(
-        [sys.executable, "-c", _MAXRSS_RUNNER, str(joint)],
-        capture_output=True, text=True, timeout=60, check=True,
-        env={**os.environ, "PYTHONPATH": SRC},
-    )
-    code, before, after = map(int, proc.stdout.split())
-    assert code == 2 and "-byte cap for a joint file not in the compact layout" in proc.stderr
-    assert after - before < 8 * 1024, f"ru_maxrss rose by {after - before} KiB"
+    code, err, rise = maxrss_rise("mi-check", str(joint))
+    assert code == 2 and "-byte cap for a joint file not in the compact layout" in err
+    assert rise < 8 * 1024, f"ru_maxrss rose by {rise} KiB"
 
 
 def test_mi_check_json_route_cap_is_inclusive(capsys, tmp_path, monkeypatch):
@@ -797,3 +803,57 @@ def test_mi_check_json_route_cap_is_inclusive(capsys, tmp_path, monkeypatch):
     joint.write_text(json.dumps({"alphabet_sizes": [2], "outcome_index": 0}).ljust(65))
     code, _, err = run(capsys, "mi-check", str(joint))
     assert code == 2 and "65 bytes is over the 64-byte cap" in err
+
+
+# Each CSV, matrix and claims file: the argv around its path, the pipeline cap
+# that judges it, how the message names it, and a file with a fault of its own.
+CAPPED_INPUTS = {
+    "csv": (["audit", "{}", "--outcome", "y"], "MAX_CSV_BYTES", "CSV file",
+            "a,y\n1,2\n", "need at least 3 data rows, got 1"),
+    "matrix": (["check-claims", "--tau", "0.5", "--p", "2", "--cross", "{}"], "MAX_CSV_BYTES",
+               "CSV file", "a,b\n1,0.5\n", "matrix must be square"),
+    "claims": (["check-claims", "--claims", "{}"], "MAX_CLAIMS_BYTES", "claims file",
+               '{"taus": [0.5]}', "claims file must be a JSON object with a 'tau' array"),
+}
+
+
+def capped_argv(kind, path):
+    return [str(path) if arg == "{}" else arg for arg in CAPPED_INPUTS[kind][0]]
+
+
+@pytest.mark.parametrize("kind", CAPPED_INPUTS)
+def test_input_file_over_its_cap_exits_two(capsys, tmp_path, kind):
+    # a sparse file one byte over the cap is judged by its size alone
+    _, cap_name, what, _, _ = CAPPED_INPUTS[kind]
+    cap = getattr(pipeline, cap_name)
+    path = tmp_path / "input"
+    with open(path, "wb") as fh:
+        fh.truncate(cap + 1)
+    code, out, err = run(capsys, *capped_argv(kind, path))
+    assert code == 2 and out == ""
+    assert f"{path}: {cap + 1} bytes is over the {cap}-byte cap for a {what}" in err
+
+
+@pytest.mark.parametrize("kind", CAPPED_INPUTS)
+def test_input_file_cap_is_inclusive(capsys, tmp_path, monkeypatch, kind):
+    # at the cap the file is read, and its own fault is reported
+    _, cap_name, what, text, fault = CAPPED_INPUTS[kind]
+    monkeypatch.setattr(pipeline, cap_name, 64)
+    path = tmp_path / "input"
+    path.write_text(text.ljust(64))
+    code, _, err = run(capsys, *capped_argv(kind, path))
+    assert code == 2 and fault in err
+    path.write_text(text.ljust(65))
+    code, _, err = run(capsys, *capped_argv(kind, path))
+    assert code == 2 and f"{path}: 65 bytes is over the 64-byte cap for a {what}" in err
+
+
+@pytest.mark.parametrize("kind", ["csv", "claims"])
+def test_input_file_over_its_cap_is_refused_before_it_is_read(tmp_path, kind):
+    # reading the sparse file whole would raise the high-water mark by 32 or 64 MiB
+    path = tmp_path / "input"
+    with open(path, "wb") as fh:
+        fh.truncate(getattr(pipeline, CAPPED_INPUTS[kind][1]) + 1)
+    code, err, rise = maxrss_rise(*capped_argv(kind, path))
+    assert code == 2 and "-byte cap for a" in err
+    assert rise < 8 * 1024, f"ru_maxrss rose by {rise} KiB"

@@ -115,22 +115,27 @@ def test_validate_correlation_negative_eigenvalue_value():
 
 
 def test_validate_correlation_psd_tolerance_boundary():
-    # eigenvalue -5e-9 passes the default 1e-8 tolerance, fails a 1e-9 one
-    a = np.array([[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]])
-    shift = 5e-9
-    b = a + np.full((3, 3), -shift / 3 * 2)  # pushes lambda_min just below 0
-    np.fill_diagonal(b, 1.0)
-    lam = np.linalg.eigvalsh(b)[0]
-    assert -1e-8 < lam < 0.0
-    validate_correlation(SymMatrix.symmetrized(b), psd_tolerance=1e-8)
-    with pytest.raises(CorrelationValidationError):
-        validate_correlation(SymMatrix.symmetrized(b), psd_tolerance=1e-10)
+    # off-diagonal -(1 + d) / 2 at p = 3 gives lambda_min = -d, on either side
+    # of the one tolerance, DEFAULT_PSD_TOLERANCE = 1e-8
+    def with_min_eigenvalue(d):
+        a = np.full((3, 3), -(1.0 + d) / 2)
+        np.fill_diagonal(a, 1.0)
+        return SymMatrix(a)
+
+    above, below = with_min_eigenvalue(0.9e-8), with_min_eigenvalue(1.1e-8)
+    assert -matrix_core.DEFAULT_PSD_TOLERANCE < above.eigen.min_value < 0.0
+    assert below.eigen.min_value < -matrix_core.DEFAULT_PSD_TOLERANCE
+    validate_correlation(above)
+    with pytest.raises(CorrelationValidationError) as exc:
+        validate_correlation(below)
+    (viol,) = exc.value.violations
+    assert viol.tolerance == matrix_core.DEFAULT_PSD_TOLERANCE
 
 
 def test_validate_matches_eigensolver_on_random_grams():
     """Acceptance is exactly lambda_min >= -tolerance, over 1,000 random matrices."""
     rng = np.random.default_rng(42)
-    tol = 1e-8
+    tol = matrix_core.DEFAULT_PSD_TOLERANCE
     for i in range(1000):
         p = int(rng.integers(2, 8))
         if i % 3 == 0:
@@ -143,10 +148,10 @@ def test_validate_matches_eigensolver_on_random_grams():
         lam_min = np.linalg.eigvalsh(a)[0]
         m = SymMatrix.symmetrized(a)
         if lam_min >= -tol:
-            validate_correlation(m, tol)
+            validate_correlation(m)
         else:
             with pytest.raises(CorrelationValidationError):
-                validate_correlation(m, tol)
+                validate_correlation(m)
 
 
 def test_sym_eigen_equicorrelation_spectrum():

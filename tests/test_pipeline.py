@@ -569,7 +569,7 @@ def test_compact_reader_equals_the_json_loads_route(tmp_path_factory, text, muta
     path.write_bytes(text.encode("utf-8"))
     with mock.patch.object(pipeline, "_CHUNK_BYTES", chunk):
         if mutations == 0:
-            assert pipeline._read_compact_joint(path) is not None
+            assert pipeline._read_compact_joint(path.read_bytes()) is not None
         assert joint_outcome(path) == json_loads_outcome(path)
 
 
@@ -615,6 +615,9 @@ NOT_COMPACT = {
     "true": with_prob("true"),
     "nan": with_prob("NaN"),
     "infinity": with_prob("Infinity"),
+    # json.loads names a probability beyond the float range by its atom
+    "overflow-prob": with_prob("1e400"),
+    "integer-prob-beyond-float": with_prob("1" * 400),
     "comma-in-prob": BASE_TEXT.replace('"tuple":[1,2],"prob":0', '"tuple":[1],"prob":2,0'),
     "short-tuple": BASE_TEXT.replace('"tuple":[1,2]', '"tuple":[1]'),
     "long-tuple": BASE_TEXT.replace('"tuple":[1,2]', '"tuple":[1,2,0]'),
@@ -643,11 +646,11 @@ NOT_COMPACT = {
 def test_compact_reader_leaves_other_files_to_json_loads(tmp_path, content):
     path = tmp_path / "joint.json"
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
-    assert pipeline._read_compact_joint(path) is None
+    assert pipeline._read_compact_joint(path.read_bytes()) is None
     assert joint_outcome(path) == json_loads_outcome(path)
 
 
-# Compact files the reader takes; those with an invalid joint go on to json.loads.
+# Compact files the reader takes; an invalid joint among them raises its own error.
 COMPACT = {
     "base": BASE_TEXT,
     "exponent": with_prob("2.5e-1", at=0),
@@ -661,8 +664,6 @@ COMPACT = {
                         + "\n",
     "one-variable": compact_joint_text((3,), 0, [[0], [2]], ["0.5", "0.5"]),
     "subnormal": with_prob("5e-324"),
-    "overflow-prob": with_prob("1e400"),
-    "integer-prob-beyond-float": with_prob("1" * 400),
     "index-out-of-range": BASE_TEXT.replace('"tuple":[1,2]', '"tuple":[1,3]'),
     "duplicate-atom": BASE_TEXT.replace('"tuple":[1,2]', '"tuple":[1,1]'),
     "mass-off": with_prob("0.5"),
@@ -676,7 +677,7 @@ COMPACT = {
 def test_compact_reader_reads_the_compact_layout(tmp_path, content):
     path = tmp_path / "joint.json"
     path.write_text(content)
-    assert pipeline._read_compact_joint(path) is not None
+    assert pipeline._read_compact_joint(path.read_bytes()) is not None
     assert joint_outcome(path) == json_loads_outcome(path)
 
 
@@ -686,7 +687,8 @@ def test_compact_reader_cut_at_every_atom_equals_the_json_loads_route(tmp_path, 
     path = tmp_path / "joint.json"
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
     with mock.patch.object(pipeline, "_CHUNK_BYTES", 1):
-        assert (pipeline._read_compact_joint(path) is not None) == (content in COMPACT.values())
+        compact = pipeline._read_compact_joint(path.read_bytes())
+        assert (compact is not None) == (content in COMPACT.values())
         assert joint_outcome(path) == json_loads_outcome(path)
 
 
@@ -701,13 +703,13 @@ def test_chunks_end_where_an_atom_separator_begins(tmp_path, chunk, pieces):
                 for i in range(0, len(atoms), per_chunk)]
     with mock.patch.object(pipeline, "_CHUNK_BYTES", chunk), \
             mock.patch.object(pipeline, "_compact_atoms", wraps=pipeline._compact_atoms) as spy:
-        assert pipeline._read_compact_joint(path) is not None
+        assert pipeline._read_compact_joint(path.read_bytes()) is not None
     assert [c.args for c in spy.call_args_list] == [(body, 2) for body in expected]
 
 
 def test_integer_prob_beyond_float_names_its_atom(tmp_path):
     path = tmp_path / "joint.json"
-    path.write_text(COMPACT["integer-prob-beyond-float"])
+    path.write_text(NOT_COMPACT["integer-prob-beyond-float"])
     with pytest.raises(InvalidJointError, match=r"^probability at \(1, 2\) is beyond the float range$"):
         load_joint_json(path)
 
@@ -717,7 +719,7 @@ def test_compact_reader_leaves_deep_nesting_to_json_loads(tmp_path):
     path = tmp_path / "joint.json"
     nested = "[" * 100_000 + "2" + "]" * 100_000
     path.write_text(BASE_TEXT.replace('"alphabet_sizes":[2,3]', '"alphabet_sizes":' + nested))
-    assert pipeline._read_compact_joint(path) is None
+    assert pipeline._read_compact_joint(path.read_bytes()) is None
     with pytest.raises(InvalidJointError, match="JSON nested too deeply to read"):
         load_joint_json(path)
 
@@ -733,7 +735,7 @@ def test_float_indices_never_reach_the_reader(tmp_path, name):
     path = tmp_path / "joint.json"
     path.write_text(NOT_COMPACT[name])
     with mock.patch.object(pipeline.np, "loadtxt", side_effect=AssertionError("loadtxt")):
-        assert pipeline._read_compact_joint(path) is None
+        assert pipeline._read_compact_joint(path.read_bytes()) is None
 
 
 def test_a_reader_warning_sends_the_file_to_json_loads(tmp_path):
@@ -745,9 +747,9 @@ def test_a_reader_warning_sends_the_file_to_json_loads(tmp_path):
         warnings.warn("float in an integer field", DeprecationWarning)
         return loadtxt(*args, **kwargs)
 
-    assert pipeline._read_compact_joint(path) is not None
+    assert pipeline._read_compact_joint(path.read_bytes()) is not None
     with mock.patch.object(pipeline.np, "loadtxt", warning_loadtxt):
-        assert pipeline._read_compact_joint(path) is None
+        assert pipeline._read_compact_joint(path.read_bytes()) is None
         assert joint_outcome(path) == json_loads_outcome(path)
 
 
@@ -807,6 +809,36 @@ def test_joint_over_the_json_cap_is_read_only_in_the_compact_layout(tmp_path, mo
     assert str(exc.value) == bad_message and "sum" in bad_message
     with pytest.raises(InvalidJointError, match="-byte cap for a joint file not in the compact"):
         load_joint_json(loose)
+    # a non-finite probability leaves a compact file to json.loads, so its size decides
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(compact_joint_text(sizes, 0, cells, ["1e400"] * len(cells)))
+    with pytest.raises(InvalidJointError, match="-byte cap for a joint file not in the compact"):
+        load_joint_json(overflow)
+
+
+@pytest.mark.parametrize("content", [NOT_COMPACT["pretty-printed"], with_prob("0.5"), BASE_TEXT],
+                         ids=["pretty-printed", "compact-mass-off", "compact"])
+def test_a_joint_file_is_opened_once_and_never_stated(tmp_path, content):
+    # one open and one fstat, whichever route parses the file and whether or not it is valid
+    path = tmp_path / "joint.json"
+    path.write_text(content)
+    with mock.patch("builtins.open", wraps=open) as opened, \
+            mock.patch.object(pipeline.os, "stat", wraps=os.stat) as stat:
+        joint_outcome(path)
+    assert [c.args[0] for c in opened.call_args_list] == [path]
+    assert stat.call_count == 0
+
+
+@pytest.mark.parametrize("load", [load_joint_json, load_claims_json])
+def test_crlf_json_is_read_with_universal_newlines(tmp_path, load):
+    # a decode error gives the position that a text-mode read gives
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{\r\n"tau": [0.5],\r\n"eps": oops}\r\n')
+    with open(path, encoding="utf-8") as fh, pytest.raises(json.JSONDecodeError) as text_mode:
+        json.loads(fh.read())
+    with pytest.raises(json.JSONDecodeError) as got:
+        load(path)
+    assert str(got.value) == str(text_mode.value)
 
 
 def test_audit_dataset_boundary_equalities():

@@ -54,6 +54,34 @@ def test_source_parses_as_python_3_10(name):
         ast.parse(fh.read(), filename=name, feature_version=(3, 10))
 
 
+def _is_file_read(node: ast.AST) -> bool:
+    """A call of open, or of a Path's read_bytes or read_text."""
+    func = getattr(node, "func", None)
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    return isinstance(node, ast.Call) and name in ("open", "read_bytes", "read_text")
+
+
+READ_INPUT = "pipeline.py:_read_input"
+
+
+def test_src_reads_files_only_through_read_input():
+    # pipeline._read_input refuses a file over its format's cap before reading
+    # it; a loader that opened its file elsewhere would skip that rule.
+    inside, outside = [], []
+    for name in SOURCES:
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        allowed = {
+            id(call)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and f"{name}:{node.name}" == READ_INPUT
+            for call in ast.walk(node)
+        }
+        for node in filter(_is_file_read, ast.walk(tree)):
+            (inside if id(node) in allowed else outside).append(f"{name}:{node.lineno}")
+    assert outside == [] and len(inside) == 1, (inside, outside)
+
+
 def _strict_constant(name: str):
     raise ValueError(f"{name} is not strict JSON")
 
