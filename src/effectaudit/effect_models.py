@@ -20,6 +20,11 @@ from dataclasses import dataclass
 from .errors import InvalidShapeError
 
 
+def _check_count(count: int) -> None:
+    if count < 1:
+        raise InvalidShapeError(f"count must be at least 1, got {count}")
+
+
 @dataclass(frozen=True)
 class MultiplicativeField:
     """N independent multiplicative effects, each active with probability q."""
@@ -29,8 +34,7 @@ class MultiplicativeField:
     activation_prob: float = 0.5
 
     def __post_init__(self):
-        if self.count < 1:
-            raise InvalidShapeError(f"count must be at least 1, got {self.count}")
+        _check_count(self.count)
         if not (self.multiplier > 0.0 and math.isfinite(self.multiplier)):
             raise InvalidShapeError(
                 f"multiplier must be positive and finite, got {self.multiplier!r}"
@@ -49,8 +53,7 @@ class LogisticField:
     per_effect_logit: float
 
     def __post_init__(self):
-        if self.count < 1:
-            raise InvalidShapeError(f"count must be at least 1, got {self.count}")
+        _check_count(self.count)
         if not math.isfinite(self.per_effect_logit):
             raise InvalidShapeError(
                 f"per_effect_logit must be finite, got {self.per_effect_logit!r}"

@@ -301,14 +301,19 @@ def mi_piranha_check(
             f"outcome index {y} outside 0..{joint.num_vars - 1}"
         )
     predictors = [i for i in range(joint.num_vars) if i != y]
-    per_var = tuple(mutual_information(joint, [i], [y], "nats") for i in predictors)
-    leaveout = tuple(
-        mutual_information(joint, [i], [j for j in predictors if j != i], "nats")
-        if len(predictors) > 1
-        else 0.0
-        for i in predictors
-    )
-    h_y = _entropy_nats(joint, (y,))
+    # Each marginal entropy once, combined in mutual_information's order:
+    # H(a) + H(b) - H(a, b).
+    h = [_entropy_nats(joint, (i,)) for i in range(joint.num_vars)]
+    h_y = h[y]
+    per_var = tuple(h[i] + h_y - _entropy_nats(joint, (i, y)) for i in predictors)
+    if len(predictors) > 1:
+        h_all = _entropy_nats(joint, tuple(predictors))
+        leaveout = tuple(
+            h[i] + _entropy_nats(joint, tuple(j for j in predictors if j != i)) - h_all
+            for i in predictors
+        )
+    else:
+        leaveout = (0.0,)
     lhs = float(sum(per_var))
     rhs = float(h_y + sum(leaveout))
     scale = 1.0 if units == "nats" else 1.0 / _LN2

@@ -121,13 +121,24 @@ class TightnessInstance:
     gap: float  # lambda_max - sum_sq_corr
 
 
-def _check_corr_vector(corr_xy: np.ndarray) -> np.ndarray:
+def _check_corr_vector(corr_xy: np.ndarray, cross: CorrelationMatrix) -> np.ndarray:
     c = np.asarray(corr_xy, dtype=float)
     if c.ndim != 1 or c.size < 1:
         raise DimensionMismatchError("corr_xy must be a non-empty 1-D array")
     for i in np.flatnonzero(~(np.abs(c) <= 1.0 + 1e-12)):  # NaN fails too
         raise ValueOutOfRangeError("corr_xy", float(c[i]), "outside [-1, 1]", int(i))
+    if cross.dim != c.size:
+        raise DimensionMismatchError(
+            f"corr_xy has length {c.size}, cross is {cross.dim}x{cross.dim}"
+        )
     return c
+
+
+def _check_p_tau(p: int, tau: float) -> None:
+    if p < 1:
+        raise DimensionMismatchError(f"p must be at least 1, got {p}")
+    if not 0.0 <= tau <= 1.0:
+        raise TauOutOfRangeError(tau)
 
 
 def vdc_check(corr_xy: np.ndarray, cross: CorrelationMatrix) -> BoundReport:
@@ -136,11 +147,7 @@ def vdc_check(corr_xy: np.ndarray, cross: CorrelationMatrix) -> BoundReport:
     Holds for any joint distribution (including the empirical one), so a
     violation means the claimed numbers cannot coexist.
     """
-    c = _check_corr_vector(corr_xy)
-    if cross.dim != c.size:
-        raise DimensionMismatchError(
-            f"corr_xy has length {c.size}, cross is {cross.dim}x{cross.dim}"
-        )
+    c = _check_corr_vector(corr_xy, cross)
     lhs = float(np.abs(c).sum())
     rhs = math.sqrt(c.size + cross.off_diagonal_abs_mass())
     return BoundReport.from_sides(BoundKind.VDC, lhs, rhs)
@@ -148,11 +155,7 @@ def vdc_check(corr_xy: np.ndarray, cross: CorrelationMatrix) -> BoundReport:
 
 def eigen_bound_check(corr_xy: np.ndarray, cross: CorrelationMatrix) -> BoundReport:
     """Check sum corr(X_i, y)^2 <= lambda_max(cross)."""
-    c = _check_corr_vector(corr_xy)
-    if cross.dim != c.size:
-        raise DimensionMismatchError(
-            f"corr_xy has length {c.size}, cross is {cross.dim}x{cross.dim}"
-        )
+    c = _check_corr_vector(corr_xy, cross)
     lhs = float(np.dot(c, c))
     rhs = cross.base.eigen.max_value
     return BoundReport.from_sides(BoundKind.EIGEN, lhs, rhs)
@@ -165,10 +168,7 @@ def min_cross_mass(p: int, tau: float) -> float:
     >= p (tau^2 p - 1).  Returned unclipped: a non-positive value means the
     claims are vacuously compatible with uncorrelated variables.
     """
-    if p < 1:
-        raise DimensionMismatchError(f"p must be at least 1, got {p}")
-    if not 0.0 <= tau <= 1.0:
-        raise TauOutOfRangeError(tau)
+    _check_p_tau(p, tau)
     return p * (tau**2 * p - 1.0)
 
 
@@ -200,10 +200,7 @@ def multi_outcome_min_mass(p: int, tau: float, eps: float) -> float:
     information; callers should treat that case as degenerate (see
     :func:`multi_outcome_degenerate`).
     """
-    if p < 1:
-        raise DimensionMismatchError(f"p must be at least 1, got {p}")
-    if not 0.0 <= tau <= 1.0:
-        raise TauOutOfRangeError(tau)
+    _check_p_tau(p, tau)
     if not eps >= 0.0:
         raise ValueOutOfRangeError("eps", float(eps), "must be non-negative")
     return p * ((tau - math.sqrt(2.0 * eps)) ** 2 * p - 1.0)
@@ -252,10 +249,7 @@ def tightness_instance(p: int, tau: float) -> TightnessInstance:
     implied_corr = (1 + (p-1) tau^2) / sqrt(p + p (p-1) tau^2), which lies in
     [tau, 1] and decreases toward tau as p grows.
     """
-    if p < 1:
-        raise DimensionMismatchError(f"p must be at least 1, got {p}")
-    if not 0.0 <= tau <= 1.0:
-        raise TauOutOfRangeError(tau)
+    _check_p_tau(p, tau)
     t = float(tau)
     lambda_max = 1.0 + (p - 1) * t**2
     implied = lambda_max / math.sqrt(p + p * (p - 1) * t**2)

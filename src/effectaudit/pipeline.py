@@ -77,11 +77,14 @@ MAX_CLAIMS = MEMORY_BUDGET // _CLAIM_BYTES
 # What each loader holds per byte of its file, as a tracemalloc peak over the
 # file size on the worst spelling measured (2-32 MB files, 2-vCPU Xeon, numpy
 # 2.4): 13.3 for json.loads of a joint (k = 1, 10^5 atoms; 7.9-8.5 at k = 2 to
-# 18), 26.4 for a CSV (one column of two-digit cells; 17.0 for a matrix of
-# one-digit cells, 3.0-5.9 with repr cells), 12.2 for a claims file ("0"
-# claims).  A file over MEMORY_BUDGET divided by that figure rounded up to a
-# power of two is refused before it is read.
+# 18), 5.1 for the compact joint reader (10^6 distinct one-index atoms, then
+# repeats; 2.3-3.7 for valid joints at k = 1 to 18), 26.4 for a CSV (one
+# column of two-digit cells; 17.0 for a matrix of one-digit cells, 3.0-5.9
+# with repr cells), 12.2 for a claims file ("0" claims).  A file over
+# MEMORY_BUDGET divided by that figure rounded up to a power of two is
+# refused before it is read.
 MAX_JSON_JOINT_BYTES = MEMORY_BUDGET // 16
+MAX_COMPACT_JOINT_BYTES = MEMORY_BUDGET // 8
 MAX_CSV_BYTES = MEMORY_BUDGET // 32
 MAX_CLAIMS_BYTES = MEMORY_BUDGET // 16
 
@@ -235,17 +238,20 @@ def load_csv_file(path: str | os.PathLike) -> Dataset:
     return load_csv(_read_input(path, MAX_CSV_BYTES, "CSV file"))
 
 
-def _read_input(path: str | os.PathLike, cap: int, what: str, *,
-                error=InvalidShapeError, head: bytes | None = None) -> bytes:
+def _read_input(path: str | os.PathLike, cap: int, what: str, *, error=InvalidShapeError,
+                head: tuple[bytes, int, str] | None = None) -> bytes:
     """The bytes of the file at ``path``, from one ``open`` and one ``fstat``.
 
     A file over ``cap`` bytes raises ``error``, naming the file, its size and
-    the cap, before it is read, unless ``head`` occurs in its first
-    ``_HEAD_BYTES``; it is then read whole, and the caller judges it.
+    the cap, before it is read.  ``head`` = (marker, cap, what) gives another
+    cap, and its name, to a file over ``cap`` whose first ``_HEAD_BYTES`` hold
+    the marker; the caller judges such a file once it is read.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if size > cap and (head is None or head not in fh.read(_HEAD_BYTES)):
+        if size > cap and head is not None and head[0] in fh.read(_HEAD_BYTES):
+            _, cap, what = head
+        if size > cap:
             raise error(_over_cap(path, size, cap, what))
         fh.seek(0)
         return fh.read()
@@ -347,7 +353,8 @@ _ATOM_OPEN = b'{"tuple":['
 _ATOM_SEP = b'},{"tuple":['
 _JOINT_KEYS = {"alphabet_sizes", "outcome_index", "atoms"}
 # A file over MAX_JSON_JOINT_BYTES is read in full only when its atoms array
-# opens within this many bytes of its start.
+# opens within this many bytes of its start, and only up to
+# MAX_COMPACT_JOINT_BYTES.
 _HEAD_BYTES = 2048
 # The atoms array is parsed in chunks of about this many bytes, each cut
 # where an atom separator begins, so the parse holds one chunk's text,
@@ -523,8 +530,8 @@ def _read_compact_joint(data: bytes) -> tuple[list, int, np.ndarray, np.ndarray]
     return None if atoms is None else (sizes, outcome, *atoms)
 
 
-_JOINT_FILE = ('joint file not in the compact layout; a file written by '
-               'json.dumps(obj, separators=(",", ":")) has no such cap')
+_JOINT_FILE = ('joint file not in the compact layout; a file written by json.dumps(obj, '
+               f'separators=(",", ":")) may hold up to {MAX_COMPACT_JOINT_BYTES} bytes')
 
 
 def load_joint_json(path: str | os.PathLike) -> tuple[DiscreteJoint, int]:
@@ -535,11 +542,12 @@ def load_joint_json(path: str | os.PathLike) -> tuple[DiscreteJoint, int]:
     gives the same joint or the same error.  A file larger than
     ``MAX_JSON_JOINT_BYTES`` is refused unless it is in the compact layout,
     and it is read only when its atoms array opens in its first
-    ``_HEAD_BYTES``.  JSON booleans are rejected wherever an integer or
-    number is expected.
+    ``_HEAD_BYTES`` and it is at most ``MAX_COMPACT_JOINT_BYTES``.  JSON
+    booleans are rejected wherever an integer or number is expected.
     """
     data = _read_input(path, MAX_JSON_JOINT_BYTES, _JOINT_FILE, error=InvalidJointError,
-                       head=_ATOMS_OPEN + _ATOM_OPEN)
+                       head=(_ATOMS_OPEN + _ATOM_OPEN, MAX_COMPACT_JOINT_BYTES,
+                             "joint file in the compact layout"))
     compact = _read_compact_joint(data)
     if compact is not None:
         sizes, outcome, idx, probs = compact

@@ -328,22 +328,20 @@ def render_text(r: DiagnosticReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Defer(Exception):
-    """Raised by :func:`_write_json` on what it leaves to ``json.dumps``."""
-
-
 _quote = json.encoder.encode_basestring_ascii
 
 
 def _write_json(o, out: list[str], nl: str) -> None:
-    """Append the ``json.dumps(o, indent=2)`` text of ``o`` to ``out``.
+    """Append the ``json.dumps(o, indent=2, allow_nan=False)`` text of ``o`` to ``out``.
 
     ``nl`` is the newline and indent of ``o``'s own level.  Values are tested
     in the order of ``json``'s encoder: str, None, True, False, int, float
     (subclasses too, written by ``int.__repr__`` and ``float.__repr__``),
     list or tuple, dict.  A list of exact floats is joined in one call once
-    its sum shows every value finite.  Raises ``_Defer`` on a non-finite
-    float, a key that is not a str, or a value of any other type.
+    its sum shows every value finite.  A non-finite float raises ``json``'s
+    own ``ValueError``, and a value of any other type ``json``'s own
+    ``TypeError``; a key that is not a str raises ``TypeError`` too, as
+    reports hold none.
     """
     if isinstance(o, str):
         out.append(_quote(o))
@@ -357,7 +355,7 @@ def _write_json(o, out: list[str], nl: str) -> None:
         out.append(int.__repr__(o))
     elif isinstance(o, float):
         if not math.isfinite(o):
-            raise _Defer
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
         out.append(float.__repr__(o))
     elif isinstance(o, (list, tuple)):
         if not o:
@@ -381,29 +379,20 @@ def _write_json(o, out: list[str], nl: str) -> None:
         sep = "{" + inner
         for k, v in o.items():
             if not isinstance(k, str):
-                raise _Defer
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
             out.append(sep + _quote(k) + ": ")
             _write_json(v, out, inner)
             sep = "," + inner
         out.append(nl + "}")
     else:
-        raise _Defer
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte.
-
-    For ``indent`` other than None, ``json`` runs its pure-Python encoder;
-    :func:`_write_json` writes the same bytes faster.  What it defers (a
-    non-finite float, a non-str key, another type) and nesting too deep for
-    it go to ``json.dumps`` itself, which writes them or raises its own error:
-    a ``ValueError`` naming the value for NaN and infinity.
-    """
+    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte, for an
+    object of str keys and JSON values; see :func:`_write_json`."""
     out: list[str] = []
-    try:
-        _write_json(obj, out, "\n")
-    except (_Defer, RecursionError):
-        return json.dumps(obj, indent=2, allow_nan=False)
+    _write_json(obj, out, "\n")
     return "".join(out)
 
 

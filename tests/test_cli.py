@@ -792,6 +792,23 @@ def test_mi_check_refuses_a_file_over_the_cap_before_reading_it(tmp_path):
     assert rise < 8 * 1024, f"ru_maxrss rose by {rise} KiB"
 
 
+def test_mi_check_refuses_a_compact_file_over_its_cap_before_reading_it(tmp_path):
+    # Its atoms array opens in its first bytes, so only MAX_COMPACT_JOINT_BYTES
+    # judges it; reading the sparse file whole would raise the high-water mark
+    # by 128 MiB.
+    joint = tmp_path / "joint.json"
+    size = pipeline.MAX_COMPACT_JOINT_BYTES + 1
+    with open(joint, "wb") as fh:
+        fh.write(b'{"alphabet_sizes":[2],"outcome_index":0,"atoms":[{"tuple":[')
+        fh.truncate(size)
+    code, err, rise = maxrss_rise("mi-check", str(joint))
+    assert code == 2 and (
+        f"{joint}: {size} bytes is over the {size - 1}-byte cap for a joint file in the "
+        "compact layout"
+    ) in err
+    assert rise < 8 * 1024, f"ru_maxrss rose by {rise} KiB"
+
+
 def test_mi_check_json_route_cap_is_inclusive(capsys, tmp_path, monkeypatch):
     # At the cap the file is read, and its own fault is reported.
     monkeypatch.setattr(pipeline, "MAX_JSON_JOINT_BYTES", 64)

@@ -2,9 +2,12 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effectaudit import (
     DiscreteJoint,
@@ -13,6 +16,7 @@ from effectaudit import (
     mi_piranha_check,
     mutual_information,
 )
+from effectaudit import info_bounds
 from effectaudit.errors import (
     EmptySubsetError,
     IndexOutOfRangeError,
@@ -297,6 +301,51 @@ def test_mi_check_random_joints_never_violate():
         rep = mi_piranha_check(j, int(rng.integers(0, nv)))
         assert rep.satisfied
         assert rep.lhs <= rep.rhs + 1e-12
+
+
+def mi_check_by_mutual_information(joint, y, units):
+    """mi_piranha_check's report with every term its own public call."""
+    predictors = [i for i in range(joint.num_vars) if i != y]
+    per_var = [mutual_information(joint, [i], [y]) for i in predictors]
+    leaveout = [mutual_information(joint, [i], [j for j in predictors if j != i])
+                for i in predictors]
+    h_y = entropy(joint, [y])
+    lhs, rhs = float(sum(per_var)), float(h_y + sum(leaveout))
+    scale = 1.0 if units == "nats" else 1.0 / LN2
+    return info_bounds.MIReport(
+        outcome_index=y,
+        units=units,
+        per_var_mi=tuple(v * scale for v in per_var),
+        per_var_leaveout_mi=tuple(v * scale for v in leaveout),
+        h_y=h_y * scale,
+        lhs=lhs * scale,
+        rhs=rhs * scale,
+        satisfied=bool(lhs <= rhs + info_bounds.MI_TOLERANCE),
+        slack=rhs * scale - lhs * scale,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda k: st.tuples(
+    st.lists(st.integers(1, 3), min_size=k + 1, max_size=k + 1),
+    st.integers(0, k),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["nats", "bits"]),
+)))
+def test_mi_check_reads_each_marginal_entropy_once(case):
+    # k predictors need H(X_i), H(y), H(X_i, y), H(X_-i) and H(X_all): 3k + 2
+    # entropies, combined into the same bits as one mutual_information call per term.
+    sizes, y, seed, units = case
+    rng = np.random.default_rng(seed)
+    w = rng.random(sizes) * (rng.random(sizes) < 0.6)
+    if not w.any():
+        w.flat[0] = 1.0
+    joint = DiscreteJoint.from_table(w / w.sum())
+    expected = mi_check_by_mutual_information(joint, y, units)
+    with mock.patch.object(info_bounds, "_entropy_nats", wraps=info_bounds._entropy_nats) as h:
+        report = mi_piranha_check(joint, y, units)
+    assert repr(report) == repr(expected)
+    assert h.call_count == 3 * (len(sizes) - 1) + 2
 
 
 def test_grouping_inequality_on_random_joints():

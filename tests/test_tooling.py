@@ -82,6 +82,19 @@ def test_src_reads_files_only_through_read_input():
     assert outside == [] and len(inside) == 1, (inside, outside)
 
 
+def test_report_writes_json_only_through_its_own_writer():
+    # report._write_json is the one JSON writer; json.dumps, called or passed
+    # on, would be a second one that could write what _write_json refuses.
+    with open(os.path.join(SRC, "report.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    dumps = [
+        node.lineno
+        for node in ast.walk(tree)
+        if "dumps" in (getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+    assert dumps == []
+
+
 def _strict_constant(name: str):
     raise ValueError(f"{name} is not strict JSON")
 
