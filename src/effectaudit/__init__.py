@@ -60,7 +60,6 @@ from .matrix_core import (
     validate_correlation,
 )
 from .pipeline import (
-    AuditConfig,
     Dataset,
     audit_claims,
     audit_dataset,
@@ -120,7 +119,6 @@ __all__ = [
     "probability_swing",
     # pipeline and reports
     "Dataset",
-    "AuditConfig",
     "DiagnosticReport",
     "load_csv",
     "load_csv_file",

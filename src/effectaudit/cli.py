@@ -36,7 +36,6 @@ from .info_bounds import mi_piranha_check
 from .linear_bounds import ClaimSet, tightness_instance
 from .pipeline import (
     MAX_CLAIMS,
-    AuditConfig,
     audit_claims,
     audit_dataset,
     load_claims_json,
@@ -123,8 +122,8 @@ def _stage_seeds(seed: int, count: int) -> list[int]:
 
 def _cmd_audit(args: argparse.Namespace) -> tuple[DiagnosticReport, int]:
     _check_seed(args.seed)
-    cfg = AuditConfig(outcome_column=args.outcome, trials=args.trials, seed=args.seed)
-    report = audit_dataset(load_csv_file(args.csv), cfg)
+    report = audit_dataset(load_csv_file(args.csv), args.outcome, trials=args.trials,
+                           seed=args.seed)
     d = report.dataset
     ok = d.vdc.satisfied and d.eigen.satisfied and d.regression.satisfied
     return report, (0 if ok else 1)

@@ -117,13 +117,9 @@ class InvalidJointError(EffectAuditError):
 
 
 class ConstantVectorError(EffectAuditError):
-    """Vector is constant and cannot be standardized.
+    """Rows that are constant and cannot be standardized; ``rows`` lists them."""
 
-    ``rows`` lists the constant rows when several vectors were standardized
-    at once.
-    """
-
-    def __init__(self, message: str, rows: tuple[int, ...] = ()):
+    def __init__(self, message: str, rows: tuple[int, ...]):
         super().__init__(message)
         self.rows = rows
 

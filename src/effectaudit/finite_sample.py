@@ -194,39 +194,22 @@ class RunningMoments:
         return self.std / math.sqrt(self.count)
 
 
-def standardize(x: np.ndarray, *, rows: bool = False) -> np.ndarray:
-    """Center and scale to unit norm; idempotent on already-standardized input.
+def standardize(x: np.ndarray) -> np.ndarray:
+    """Center each row of a (k, n) array and scale it to unit norm, into a
+    new C-ordered (k, n) array; idempotent on already-standardized rows.
 
-    Returns a new read-only vector for a 1-D ``x``.  With
-    ``rows=True``, ``x`` is a (k, n) array whose rows are standardized at
-    once into a new C-ordered (k, n) array, which is returned; each row gets
-    the same bits as a 1-D call on it.  Raises :class:`ConstantVectorError`
-    when a centered vector's norm is at most 1e-14 times the input's norm
-    (constant vectors, including zero); its ``rows`` lists every such row.
+    Each row gets the bits of a one-row call on it: a contiguous row's mean is
+    numpy's pairwise sum, and its norm is ``sqrt(np.dot(r, r))``, which is what
+    ``np.linalg.norm`` computes for 1-D input.  A row near either end of the
+    float range is rescaled first (see ``_NORM_SQ_RANGE``), and a row whose
+    mean may survive one centering pass (see ``_RECENTER``) is centered again.
+    Raises :class:`ConstantVectorError` when a centered row's norm is at most
+    1e-14 times the input row's norm (constant rows, including zero); its
+    ``rows`` lists every such row.
     """
-    if rows:
-        a = np.array(x, dtype=float, order="C")
-        if a.ndim != 2 or a.shape[1] < 2:
-            raise InvalidShapeError(f"expected (k, n) rows with n >= 2, got shape {a.shape}")
-        return _standardize_rows(a)
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise InvalidShapeError(f"expected a 1-D vector of length >= 2, got shape {v.shape}")
-    out = _standardize_rows(np.array(v[np.newaxis], order="C"))[0]
-    out.flags.writeable = False
-    return out
-
-
-def _standardize_rows(a: np.ndarray) -> np.ndarray:
-    """Standardize each row of a C-ordered (k, n) float array in place.
-
-    A contiguous row's mean is numpy's pairwise sum, and its norm is
-    ``sqrt(np.dot(r, r))``, which is what ``np.linalg.norm`` computes for 1-D
-    input, so every row gets the bits of standardizing it alone.  A row near
-    either end of the float range is rescaled first (see ``_NORM_SQ_RANGE``),
-    and a row whose mean may survive one centering pass (see ``_RECENTER``) is
-    centered again.
-    """
+    a = np.array(x, dtype=float, order="C")
+    if a.ndim != 2 or a.shape[1] < 2:
+        raise InvalidShapeError(f"expected (k, n) rows with n >= 2, got shape {a.shape}")
     with np.errstate(over="ignore"):
         raw_sq = np.array(list(map(np.dot, a, a)))
     lo, hi = _NORM_SQ_RANGE
@@ -239,8 +222,6 @@ def _standardize_rows(a: np.ndarray) -> np.ndarray:
     norms = np.sqrt(list(map(np.dot, a, a)))
     constant = np.flatnonzero(norms <= CONSTANT_REL_TOLERANCE * raw_norms)
     if constant.size:
-        if a.shape[0] == 1:
-            raise ConstantVectorError("vector is constant up to rounding", rows=(0,))
         raise ConstantVectorError(
             f"rows {constant.tolist()} are constant up to rounding", rows=tuple(constant.tolist())
         )

@@ -107,8 +107,8 @@ def _atom_table(sizes: tuple[int, ...], atoms: Sequence, probs: Sequence) -> np.
 
     An integer array of shape (n, k) is taken as the atoms directly; any
     other atoms (index sequences) are converted once by :func:`_index_array`.
-    Every check is vectorized; only an error walks the atoms in Python, to
-    name the first offender.
+    Every check is vectorized; only a bad index or probability walks the atoms
+    in Python, to name the first offender.
     """
     if isinstance(atoms, np.ndarray) and not (
         atoms.ndim == 2 and atoms.shape[1] == len(sizes) and atoms.dtype.kind in "iu"
@@ -125,11 +125,12 @@ def _atom_table(sizes: tuple[int, ...], atoms: Sequence, probs: Sequence) -> np.
         raise _bad_index(sizes, idx.tolist() if idx is atoms else atoms)
     flat = np.ravel_multi_index(tuple(idx.astype(np.intp, copy=False).T), sizes)
     if np.bincount(flat, minlength=table.size).max() > 1:
-        seen: set[int] = set()
-        for pos, cell in enumerate(flat.tolist()):
-            if cell in seen:
-                raise InvalidJointError(f"duplicate atom {echo(repr(tuple(idx[pos].tolist())))}")
-            seen.add(cell)
+        # A stable sort keeps each cell's atoms in input order, so the first
+        # repeat is the earliest position that follows an equal cell.
+        order = np.argsort(flat, kind="stable")
+        cells = flat[order]
+        pos = order[1:][cells[1:] == cells[:-1]].min()
+        raise InvalidJointError(f"duplicate atom {echo(repr(tuple(idx[pos].tolist())))}")
     try:
         p = np.asarray(probs, dtype=float)
     except (TypeError, ValueError, OverflowError):

@@ -77,12 +77,13 @@ MAX_CLAIMS = MEMORY_BUDGET // _CLAIM_BYTES
 # What each loader holds per byte of its file, as a tracemalloc peak over the
 # file size on the worst spelling measured (2-32 MB files, 2-vCPU Xeon, numpy
 # 2.4): 13.3 for json.loads of a joint (k = 1, 10^5 atoms; 7.9-8.5 at k = 2 to
-# 18), 5.1 for the compact joint reader (10^6 distinct one-index atoms, then
-# repeats; 2.3-3.7 for valid joints at k = 1 to 18), 26.4 for a CSV (one
-# column of two-digit cells; 17.0 for a matrix of one-digit cells, 3.0-5.9
-# with repr cells), 12.2 for a claims file ("0" claims).  A file over
+# 18), 3.7 for the compact joint reader (valid joints, 2.3 at the least at k =
+# 1 to 18; 2.5 for 10^6 distinct one-index atoms, then repeats), 26.4 for a
+# CSV (one column of two-digit cells; 17.0 for a matrix of one-digit cells,
+# 3.0-5.9 with repr cells), 12.2 for a claims file ("0" claims).  A file over
 # MEMORY_BUDGET divided by that figure rounded up to a power of two is
-# refused before it is read.
+# refused before it is read; the compact cap, MEMORY_BUDGET // 8, is above
+# what that rule asks.
 MAX_JSON_JOINT_BYTES = MEMORY_BUDGET // 16
 MAX_COMPACT_JOINT_BYTES = MEMORY_BUDGET // 8
 MAX_CSV_BYTES = MEMORY_BUDGET // 32
@@ -93,24 +94,22 @@ MAX_CLAIMS_BYTES = MEMORY_BUDGET // 16
 class Dataset:
     """Named numeric columns of equal length, no missing or non-finite cells.
 
-    ``columns`` is given as one 1-D array per name or as a (width, n) array.
-    The values are kept in one read-only C-ordered (width, n) ``table``, and
-    ``columns`` becomes the tuple of its rows.
+    ``table`` is given as a (width, n) array-like, one row per name, and kept
+    as one read-only C-ordered float copy.
     """
 
     column_names: tuple[str, ...]
-    columns: tuple[np.ndarray, ...]
-    table: np.ndarray = field(init=False, repr=False)
+    table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if len(self.column_names) != len(self.columns):
-            raise DimensionMismatchError("names and columns differ in count")
         try:
-            table = np.array(self.columns, dtype=float, order="C")
+            table = np.array(self.table, dtype=float, order="C")
         except (TypeError, ValueError):  # ragged, or cells that are not numbers
             table = None
         if table is None or table.ndim != 2:
-            _raise_column_fault(self.columns)
+            raise InvalidShapeError("table must be 2-D, one row of equal length per column")
+        if len(self.column_names) != table.shape[0]:
+            raise DimensionMismatchError("names and columns differ in count")
         if not np.isfinite(table).all():
             raise InvalidShapeError("columns must be finite")
         if table.shape[1] < MIN_ROWS:
@@ -118,35 +117,10 @@ class Dataset:
         table.flags.writeable = False
         object.__setattr__(self, "column_names", tuple(self.column_names))
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "columns", tuple(table))
 
     @property
     def n(self) -> int:
         return self.table.shape[1]
-
-
-def _raise_column_fault(columns) -> None:
-    """Raise the first fault of columns that do not form a (width, n) table,
-    checking them one by one in order: not 1-D, then not finite, then a
-    length that differs."""
-    for c in columns:
-        a = np.asarray(c, dtype=float)
-        if a.ndim != 1:
-            raise InvalidShapeError("columns must be 1-D")
-        if not np.all(np.isfinite(a)):
-            raise InvalidShapeError("columns must be finite")
-    raise DimensionMismatchError("columns differ in length")
-
-
-@dataclass(frozen=True)
-class AuditConfig:
-    outcome_column: str | int = -1
-    trials: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.trials < 2:
-            raise InvalidShapeError(f"need at least 2 trials, got {self.trials}")
 
 
 def _parse_cell(cell: str, row: int, col: int) -> float:
@@ -231,7 +205,7 @@ def load_csv(data: bytes) -> Dataset:
         raise TooFewRowsError(f"need at least {MIN_ROWS} data rows, got {len(lines) - 1}")
     values = _parse_body(lines[1:], len(header))
     del lines  # release the line strings before Dataset copies the table
-    return Dataset(column_names=tuple(header), columns=values.T)
+    return Dataset(column_names=tuple(header), table=values.T)
 
 
 def load_csv_file(path: str | os.PathLike) -> Dataset:
@@ -611,8 +585,14 @@ def _resolve_outcome(ds: Dataset, outcome: str | int) -> int:
     return idx
 
 
-def audit_dataset(ds: Dataset, cfg: AuditConfig) -> DiagnosticReport:
+def audit_dataset(
+    ds: Dataset, outcome: str | int = -1, *, trials: int = 100_000, seed: int = 0
+) -> DiagnosticReport:
     """Run every correlation bound against one dataset.
+
+    ``outcome`` is a column name or index (negative counts from the end);
+    ``trials`` and ``seed`` drive the Monte Carlo estimate of the sphere
+    average, which raises on fewer than 2 trials.
 
     Columns are standardized, so the empirical second-moment matrix of the
     predictors is exactly their sample correlation matrix and the regression
@@ -621,7 +601,7 @@ def audit_dataset(ds: Dataset, cfg: AuditConfig) -> DiagnosticReport:
     check, lambda_max, lambda_min, spectrum, singular values, Monte Carlo
     weights) comes from the one decomposition of the predictors' block.
     """
-    y_idx = _resolve_outcome(ds, cfg.outcome_column)
+    y_idx = _resolve_outcome(ds, outcome)
     pred_idx = [i for i in range(len(ds.column_names)) if i != y_idx]
     p = len(pred_idx)
     if p < 1:
@@ -630,7 +610,7 @@ def audit_dataset(ds: Dataset, cfg: AuditConfig) -> DiagnosticReport:
         raise InvalidShapeError(f"need more rows than predictors: n={ds.n}, p={p}")
 
     try:
-        rows = standardize(ds.table, rows=True)
+        rows = standardize(ds.table)
     except ConstantVectorError as exc:
         first = next(i for i in pred_idx + [y_idx] if i in exc.rows)
         raise ConstantColumnError(ds.column_names[first]) from None
@@ -647,7 +627,7 @@ def audit_dataset(ds: Dataset, cfg: AuditConfig) -> DiagnosticReport:
 
     spectrum = cross.base.eigen.values
     sv = svd(rows, pred_idx, cross.base.eigen)
-    mc = expected_sum_sq_mc(sv, ds.n, cfg.trials, cfg.seed)
+    mc = expected_sum_sq_mc(sv, ds.n, trials, seed)
 
     section = DatasetAuditSection(
         n=ds.n,
@@ -668,7 +648,7 @@ def audit_dataset(ds: Dataset, cfg: AuditConfig) -> DiagnosticReport:
         mc=mc,
     )
     return DiagnosticReport(
-        version=__version__, mode="dataset-audit", seed=cfg.seed, dataset=section
+        version=__version__, mode="dataset-audit", seed=seed, dataset=section
     )
 
 
@@ -701,8 +681,9 @@ def audit_claims(claims: ClaimSet, eps: float | None = None) -> DiagnosticReport
     mo_req = None
     mo_bound = None
     if eps is not None:
-        if not math.isfinite(eps) or eps < 0.0:
-            raise InvalidShapeError(f"eps must be finite and non-negative, got {eps!r}")
+        # eps is one minus a correlation; in [0, 2], sqrt(2 eps) stays finite.
+        if not 0.0 <= eps <= 2.0:  # NaN fails too
+            raise InvalidShapeError(f"eps must be finite and in [0, 2], got {eps!r}")
         degenerate = multi_outcome_degenerate(tau_min, eps)
         mo = _mass_requirement(multi_outcome_min_mass(p, tau_min, eps), p)
         mo_req = MultiOutcomeRequirement(

@@ -99,7 +99,7 @@ def test_criterion_03_no_random_dataset_violates_bounds(capsys):
             p = int(rng.integers(2, 21))
             mix = rng.standard_normal((p + 1, p + 1))
             raw = rng.standard_normal((n, p + 1)) @ mix.T
-            cols = [standardize(raw[:, j]) for j in range(p + 1)]
+            cols = standardize(raw.T)
             x = np.column_stack(cols[:p])
             y = cols[p]
             corr_xy = x.T @ y

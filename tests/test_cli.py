@@ -163,6 +163,15 @@ def test_audit_negative_seed_named(capsys, seed):
     assert f"--seed must be a non-negative integer, got {seed}" in err
 
 
+def test_audit_one_trial_exit_two_after_the_csv_is_read(capsys):
+    code, out, err = run(capsys, "audit", BOUNDARY_CSV, "--outcome", "y", "--trials", "1")
+    assert code == 2 and out == ""
+    assert err == "effectaudit: error: need at least 2 trials, got 1\n"
+    # the Monte Carlo step owns the check, so a missing file is named first
+    code, _, err = run(capsys, "audit", "/does/not/exist.csv", "--outcome", "y", "--trials", "1")
+    assert code == 2 and "exist.csv" in err
+
+
 @pytest.mark.parametrize("seed", ["-1", "-5"])
 def test_simulate_sphere_negative_seed_named(capsys, seed):
     argv = ("simulate-sphere", "--n", "50", "--p", "3", "--trials", "1000", "--seed", seed)
@@ -406,7 +415,31 @@ def test_check_claims_non_finite_eps_exit_two(capsys, eps):
     assert "eps must be finite" in err
 
 
-@pytest.mark.parametrize("delta", ["nan", "inf", "-inf", "1e308"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("eps", ["1e308", "2.0000000000000004", "-1e-300"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_check_claims_eps_outside_zero_two_exit_two(capsys, tmp_path, source, eps, fmt):
+    # eps is 1 - a correlation; past 2, sqrt(2 eps) could overflow, and the
+    # JSON report would fail on the -inf threshold while text printed it
+    if source == "flag":
+        argv = ["--tau", "0.5", "--p", "3", f"--eps={eps}"]
+    else:
+        claims = tmp_path / "claims.json"
+        claims.write_text(f'{{"tau": [0.5, 0.5, 0.5], "eps": {eps}}}')
+        argv = ["--claims", str(claims)]
+    code, out, err = run(capsys, "check-claims", *argv, "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == f"effectaudit: error: eps must be finite and in [0, 2], got {float(eps)!r}\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_check_claims_eps_of_two_is_in_range(capsys, fmt):
+    code, out, err = run(capsys, "check-claims", "--tau", "0.5", "--p", "3", "--eps", "2",
+                         "--format", fmt)
+    assert code == 0 and err == "" and out
+
+
+@pytest.mark.parametrize("delta",["nan", "inf", "-inf", "1e308"])
 def test_aggregate_logistic_non_finite_delta_exit_two(capsys, delta):
     code, out, err = run(capsys, "aggregate-logistic", "--count", "3", f"--delta={delta}")
     assert code == 2 and out == ""

@@ -38,17 +38,17 @@ from effectaudit.errors import ConstantVectorError, InvalidShapeError
 
 
 def test_standardize_small_fixture():
-    s = standardize(np.array([1.0, 2.0, 3.0]))
+    s = standardize([[1.0, 2.0, 3.0]])
     root2 = math.sqrt(2.0)
-    np.testing.assert_allclose(s, [-1 / root2, 0.0, 1 / root2], atol=1e-15)
+    assert s.shape == (1, 3)
+    np.testing.assert_allclose(s[0], [-1 / root2, 0.0, 1 / root2], atol=1e-15)
     assert abs(float(s.sum())) < 1e-15
     assert abs(float(np.linalg.norm(s)) - 1.0) < 1e-15
-    assert not s.flags.writeable
 
 
 def test_standardize_idempotent():
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(40)
+    v = rng.standard_normal((3, 40))
     once = standardize(v)
     twice = standardize(once)
     np.testing.assert_allclose(twice, once, atol=1e-15)
@@ -56,20 +56,22 @@ def test_standardize_idempotent():
 
 def test_standardize_rejects_constant_and_bad_shape():
     with pytest.raises(ConstantVectorError):
-        standardize(np.full(10, 3.7))
+        standardize([np.full(10, 3.7)])
     with pytest.raises(ConstantVectorError):
-        standardize(np.zeros(5))
+        standardize(np.zeros((1, 5)))
     with pytest.raises(ConstantVectorError):
-        standardize(np.full(8, 1.0) + 1e-16 * np.arange(8.0))
+        standardize([np.full(8, 1.0) + 1e-16 * np.arange(8.0)])
     with pytest.raises(InvalidShapeError):
-        standardize(np.ones((3, 3)))
+        standardize(np.ones(5))
     with pytest.raises(InvalidShapeError):
-        standardize(np.array([1.0]))
+        standardize(np.ones((2, 2, 2)))
+    with pytest.raises(InvalidShapeError):
+        standardize(np.array([[1.0]]))
 
 
 def sample_matrix_from_raw(data: np.ndarray) -> np.ndarray:
     """Standardize each column of raw data into a C-ordered design."""
-    return np.array(standardize(np.asarray(data, dtype=float).T, rows=True).T, order="C")
+    return np.array(standardize(np.asarray(data, dtype=float).T).T, order="C")
 
 
 def random_sample_matrix(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
@@ -90,7 +92,7 @@ def singular_values(x: np.ndarray) -> np.ndarray:
 
 def sum_sq_corr(x: np.ndarray, y: np.ndarray) -> float:
     """Sum over columns of corr(X_i, y)^2 for a raw response: ||X^T standardize(y)||^2."""
-    c = x.T @ standardize(y)
+    c = x.T @ standardize([y])[0]
     return float(np.dot(c, c))
 
 
@@ -113,14 +115,15 @@ def test_batched_standardize_matches_each_row_alone_bit_for_bit(n, k):
     rng = np.random.default_rng(n * 100 + k)
     # offsets and scales far from 0 and 1, so centering and scaling round
     raw = rng.standard_normal((k, n)) * rng.uniform(0.1, 1e3, (k, 1)) + rng.uniform(-1e4, 1e4, (k, 1))
-    got = standardize(raw, rows=True)
+    got = standardize(raw)
     assert got.shape == (k, n) and got.flags.c_contiguous
     assert not np.shares_memory(got, raw)
     want = np.stack([standardize_one(r) for r in raw])
     assert got.tobytes() == want.tobytes()
-    # one column of an n x k design, strided
+    # each row gets the bits of a one-row call, also on a strided column of
+    # an n x k design
     for j in range(k):
-        assert standardize(raw.T[:, j]).tobytes() == want[j].tobytes()
+        assert standardize([raw.T[:, j]]).tobytes() == want[j].tobytes()
     if n > k:
         assert sample_matrix_from_raw(raw.T).tobytes() == np.column_stack(want).tobytes()
 
@@ -128,17 +131,18 @@ def test_batched_standardize_matches_each_row_alone_bit_for_bit(n, k):
 def test_batched_standardize_names_every_constant_row():
     raw = np.array([[1.0, 2.0, 4.0], [3.0, 3.0, 3.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ConstantVectorError) as exc:
-        standardize(raw, rows=True)
+        standardize(raw)
     assert exc.value.rows == (1, 3)
+    with pytest.raises(ConstantVectorError) as exc:
+        standardize(raw[1:2])
+    assert exc.value.rows == (0,)
     with pytest.raises(InvalidShapeError):
-        standardize(np.ones(5), rows=True)
-    with pytest.raises(InvalidShapeError):
-        standardize(np.ones((4, 1)), rows=True)
+        standardize(np.ones((4, 1)))
 
 
 def sample_corr(x: np.ndarray, y: np.ndarray) -> float:
     """Sample correlation as the inner product of standardized vectors."""
-    return float(np.dot(standardize(x), standardize(y)))
+    return float(np.dot(*standardize([x, y])))
 
 
 def test_sample_corr_fixture():
@@ -201,7 +205,7 @@ def test_svd_reconstruction_and_orthonormality():
 
 def test_svd_duplicated_column_reports_exact_zero():
     rng = np.random.default_rng(3)
-    col = standardize(rng.standard_normal(12))
+    col = standardize([rng.standard_normal(12)])[0]
     s = singular_values(np.column_stack([col, col]))
     np.testing.assert_allclose(s, [math.sqrt(2.0), 0.0], atol=1e-12)
     assert s[1] == 0.0
@@ -288,7 +292,7 @@ def test_rank_rule_reads_the_predictor_rows_of_a_wider_table(name, n, p, copies,
     # as an audit calls it: the design's columns are rows of a table that also
     # holds the outcome, first, second or last
     x = near_singular_design(n, p, copies, 1e-9, seed=n + p)
-    y = standardize(np.random.default_rng(n).standard_normal(n))
+    y = standardize([np.random.default_rng(n).standard_normal(n)])[0]
     table = np.insert(x.T, outcome % (p + 1), y, axis=0)
     pred = [i for i in range(p + 1) if i != outcome % (p + 1)]
     with forced_qr():
@@ -299,7 +303,7 @@ def test_rank_rule_reads_the_predictor_rows_of_a_wider_table(name, n, p, copies,
 @pytest.mark.parametrize("n", [12, _QR_ROWS + 1])
 @pytest.mark.parametrize("p", [2, 5])
 def test_rank_rule_every_column_duplicated(n, p):
-    col = standardize(np.random.default_rng(n * p).standard_normal(n))
+    col = standardize([np.random.default_rng(n * p).standard_normal(n)])[0]
     x = np.column_stack([col] * p)
     sv = singular_values(x)
     assert np.array_equal(sv, gram_schmidt_route(x)[0])
@@ -491,7 +495,7 @@ def test_sum_sq_corr_spectral_identity_many_pairs():
         n = int(rng.integers(4, 13))
         p = int(rng.integers(1, min(n, 7)))
         x = random_sample_matrix(n, p, rng)
-        y = standardize(rng.standard_normal(n))
+        y = standardize([rng.standard_normal(n)])[0]
         dec = gram_eigen(x)
         s = svd(x.T, slice(None), dec)
         proj = (x @ dec.vectors / s).T @ y
@@ -629,7 +633,7 @@ def test_chisq_mixture_compare_memory_per_trial_is_bounded():
 
 
 def _duplicated_column_design(n: int, rng: np.random.Generator) -> np.ndarray:
-    cols = [standardize(rng.standard_normal(n)) for _ in range(2)]
+    cols = standardize(rng.standard_normal((2, n)))
     return np.column_stack([cols[0], cols[1], cols[0]])
 
 

@@ -107,6 +107,33 @@ def test_joint_faults_from_arrays_raise_what_lists_raise(fault):
     assert str(from_arrays.value) == str(from_lists.value)
 
 
+def first_repeat_by_walk(atoms: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The atom that a walk in input order finds already seen first."""
+    seen = set()
+    for atom in atoms:
+        if atom in seen:
+            return atom
+        seen.add(atom)
+    raise AssertionError("no repeat")
+
+
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_duplicate_atom_named_is_the_first_repeat_in_input_order(sizes, data):
+    cell = st.tuples(*(st.integers(0, s - 1) for s in sizes))
+    atoms = data.draw(st.lists(cell, min_size=1, max_size=40))
+    atoms.insert(data.draw(st.integers(0, len(atoms))), data.draw(st.sampled_from(atoms)))
+    want = first_repeat_by_walk(atoms)
+    probs = [1.0 / len(atoms)] * len(atoms)
+    for given_atoms in (atoms, np.array(atoms)):
+        with pytest.raises(InvalidJointError) as exc:
+            DiscreteJoint(alphabet_sizes=sizes, atoms=given_atoms, probs=probs)
+        assert str(exc.value) == f"duplicate atom {want!r}"
+
+
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
 def test_joint_from_arrays_equals_joint_from_lists(dtype):
     rng = np.random.default_rng(12)

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effectaudit import (
-    AuditConfig,
     ClaimSet,
     Dataset,
     DiscreteJoint,
@@ -89,8 +88,8 @@ def test_load_csv_happy_path():
     ds = load_csv(GOOD)
     assert ds.column_names == ("a", "b", "y")
     assert ds.n == 4
-    np.testing.assert_allclose(ds.columns[2], [3.0, 6.0, 10.0, 0.0])
-    assert not ds.columns[0].flags.writeable
+    np.testing.assert_allclose(ds.table[2], [3.0, 6.0, 10.0, 0.0])
+    assert not ds.table.flags.writeable
 
 
 def test_load_csv_trailing_blank_lines_ok():
@@ -198,7 +197,7 @@ def test_load_csv_values_equal_float_of_each_cell():
     lines = ["a,b,c,d"] + [",".join(f" {v!r}" if j == 1 else repr(v) for j, v in enumerate(row))
                            for row in values.tolist()]
     ds = load_csv(csv_bytes(*lines))
-    np.testing.assert_array_equal(np.column_stack(ds.columns), values)
+    np.testing.assert_array_equal(ds.table.T, values)
 
 
 def cell_walk(lines: list[str], width: int) -> np.ndarray:
@@ -328,7 +327,7 @@ def test_load_csv_file_memory_per_file_byte(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (ds.n, len(ds.columns)) == (4000, 50)
+    assert ds.table.shape == (50, 4000)
     assert peak <= 3.5 * size, f"{peak / size:.2f} bytes per file byte"
 
 
@@ -843,7 +842,7 @@ def test_crlf_json_is_read_with_universal_newlines(tmp_path, load):
 
 def test_audit_dataset_boundary_equalities():
     ds = load_csv_file(BOUNDARY_CSV)
-    rep = audit_dataset(ds, AuditConfig(outcome_column="y", trials=2000, seed=3))
+    rep = audit_dataset(ds, "y", trials=2000, seed=3)
     d = rep.dataset
     assert rep.mode == "dataset-audit" and d is not None
     assert (d.n, d.p, d.outcome) == (8, 4, "y")
@@ -865,7 +864,7 @@ def random_design(rng: np.random.Generator, n: int, p: int) -> Dataset:
     x = rng.standard_normal((n, p)) + rng.uniform(0.0, 2.0) * factor
     y = x @ rng.standard_normal(p) + rng.standard_normal(n)
     names = tuple(f"x{i}" for i in range(p)) + ("y",)
-    return Dataset(column_names=names, columns=tuple(x.T) + (y,))
+    return Dataset(column_names=names, table=np.vstack([x.T, y]))
 
 
 def test_audit_dataset_reads_one_spectrum():
@@ -873,7 +872,7 @@ def test_audit_dataset_reads_one_spectrum():
     rng = np.random.default_rng(16)
     for _ in range(60):
         ds = random_design(rng, 200, int(rng.integers(2, 21)))
-        d = audit_dataset(ds, AuditConfig(outcome_column="y", trials=2)).dataset
+        d = audit_dataset(ds, "y", trials=2).dataset
         assert d.spectrum[0] == d.eigen.rhs
         assert d.spectrum[-1] == d.lambda_min
         assert d.sigma1_sq == pytest.approx(d.spectrum[0], rel=1e-12)
@@ -904,7 +903,7 @@ def test_audit_dataset_decomposes_once(eig_calls, design):
         ds = random_design(np.random.default_rng(17), 200, 12)
     else:
         ds = load_csv_file(DUPLICATED_CSV)
-    audit_dataset(ds, AuditConfig(outcome_column="y", trials=1000))
+    audit_dataset(ds, "y", trials=1000)
     assert eig_calls == {"eigh": 1, "eigvalsh": 0}
 
 
@@ -916,8 +915,8 @@ def test_regression_coefficients_use_the_bounds_cutoff():
     x = rng.standard_normal((5000, 3))
     x[:, 2] = x[:, 0] + 1e-6 * rng.standard_normal(5000)
     y = x @ [0.3, -0.2, 0.1] + rng.standard_normal(5000)
-    ds = Dataset(column_names=("a", "b", "c", "y"), columns=np.column_stack([x, y]).T)
-    d = audit_dataset(ds, AuditConfig(outcome_column="y", trials=2)).dataset
+    ds = Dataset(column_names=("a", "b", "c", "y"), table=np.column_stack([x, y]).T)
+    d = audit_dataset(ds, "y", trials=2).dataset
     assert d.regression.rhs == math.inf and d.regression.lhs < 1.0
     dropped = np.linalg.eigh(d.predictor_correlations)[1][:, 0]
     assert abs(dropped @ d.beta) < 1e-6
@@ -943,71 +942,66 @@ def test_cli_request_decomposes_once(eig_calls, tmp_path, capsys, argv):
 
 def test_audit_dataset_outcome_selection_and_errors():
     ds = load_csv(GOOD)
-    by_default = audit_dataset(ds, AuditConfig(trials=100))  # last column
+    by_default = audit_dataset(ds, trials=100)  # last column
     assert by_default.dataset.outcome == "y"
-    by_index = audit_dataset(ds, AuditConfig(outcome_column=2, trials=100))
+    by_index = audit_dataset(ds, 2, trials=100)
     assert by_index.dataset.outcome == "y"
     with pytest.raises(UnknownColumnError):
-        audit_dataset(ds, AuditConfig(outcome_column="nope", trials=100))
+        audit_dataset(ds, "nope", trials=100)
     with pytest.raises(UnknownColumnError):
-        audit_dataset(ds, AuditConfig(outcome_column=7, trials=100))
+        audit_dataset(ds, 7, trials=100)
 
 
 def test_audit_dataset_constant_column_named():
     ds = Dataset(
         column_names=("a", "flat", "y"),
-        columns=(
-            np.array([1.0, 2, 3, 5]),
-            np.array([2.0, 2, 2, 2]),
-            np.array([0.0, 1, 0, 2]),
-        ),
+        table=[[1.0, 2, 3, 5], [2.0, 2, 2, 2], [0.0, 1, 0, 2]],
     )
     with pytest.raises(ConstantColumnError) as exc:
-        audit_dataset(ds, AuditConfig(trials=100))
+        audit_dataset(ds, trials=100)
     assert "flat" in str(exc.value)
 
 
 @pytest.mark.parametrize("columns,message", [
-    (([1.0, 2, 3], [1.0, 2, 3, 4]), "columns differ in length"),
-    (([1.0, 2, 3], np.ones((3, 1))), "columns must be 1-D"),
-    (np.ones((2, 3, 1)), "columns must be 1-D"),
+    ([[1.0, 2, 3], [1.0, 2, 3, 4]], "table must be 2-D, one row of equal length per column"),
+    (np.ones(3), "table must be 2-D, one row of equal length per column"),
+    (np.ones((2, 3, 1)), "table must be 2-D, one row of equal length per column"),
     (([1.0, 2, 3], [1.0, math.inf, 3]), "columns must be finite"),
     (([1.0, 2, 3], [1.0, math.nan, 3]), "columns must be finite"),
     (([1.0, 2], [3.0, 4]), "need at least 3 rows, got 2"),
-    # the first fault in column order, as when each column was checked alone
-    (([1.0, math.nan, 3], [1.0, 2]), "columns must be finite"),
-    ((np.ones((3, 1)), [1.0, math.nan, 3]), "columns must be 1-D"),
-    (([1.0, 2], [1.0, 2, 3], [math.nan]), "columns must be finite"),
-    (([1.0, 2, 3], [1.0, 2], [math.nan, 1.0, 2.0]), "columns must be finite"),
 ])
 def test_dataset_messages(columns, message):
     names = tuple(f"c{i}" for i in range(len(columns)))
-    with pytest.raises((InvalidShapeError, DimensionMismatchError, TooFewRowsError)) as exc:
-        Dataset(column_names=names, columns=columns)
+    with pytest.raises((InvalidShapeError, TooFewRowsError)) as exc:
+        Dataset(column_names=names, table=columns)
     assert str(exc.value) == message
+
+
+def test_dataset_names_one_row_each():
     with pytest.raises(DimensionMismatchError, match="names and columns differ in count"):
-        Dataset(column_names=names + ("extra",), columns=columns)
+        Dataset(column_names=("a", "b", "extra"), table=np.ones((2, 5)))
+    with pytest.raises(DimensionMismatchError, match="names and columns differ in count"):
+        Dataset(column_names=("a",), table=np.ones((2, 5)))
 
 
 def test_dataset_keeps_one_read_only_table_of_its_own():
     given = np.arange(12.0).reshape(4, 3)
-    for columns in (given.T, tuple(given.T), given.T.tolist()):
-        ds = Dataset(column_names=("a", "b", "c"), columns=columns)
+    for table in (given.T, tuple(given.T), given.T.tolist()):
+        ds = Dataset(column_names=("a", "b", "c"), table=table)
         assert ds.table.shape == (3, 4) and ds.table.flags.c_contiguous
         assert not ds.table.flags.writeable and not np.shares_memory(ds.table, given)
-        assert all(np.shares_memory(c, ds.table) for c in ds.columns)
-        assert [c.tolist() for c in ds.columns] == given.T.tolist()
+        assert ds.table.tolist() == given.T.tolist()
     assert load_csv(GOOD).table.tolist() == [[1.0, 4, 7, 2], [2.0, 5, 8, 1], [3.0, 6, 10, 0]]
 
 
-def per_column_audit_json(ds: Dataset, cfg: AuditConfig) -> str:
+def per_column_audit_json(ds: Dataset, outcome: str, trials: int, seed: int) -> str:
     """An audit's JSON bytes by the per-column route: each column standardized
     alone, the correlations read from the Gram matrix of the table they form,
     the lists built float by float, and the report written by
     ``json.dumps(indent=2)``."""
-    y_idx = ds.column_names.index(cfg.outcome_column)
+    y_idx = ds.column_names.index(outcome)
     pred_idx = [i for i in range(len(ds.column_names)) if i != y_idx]
-    table = np.stack([standardize_one(np.array(c)) for c in ds.columns])
+    table = np.stack([standardize_one(np.array(c)) for c in ds.table])
     gram = table @ table.T
     corr_xy = np.array([gram[i, y_idx] for i in pred_idx])
     block = np.array([[gram[i, j] for j in pred_idx] for i in pred_idx])
@@ -1030,9 +1024,9 @@ def per_column_audit_json(ds: Dataset, cfg: AuditConfig) -> str:
         singular_values=[float(v) for v in sv],
         sigma1_sq=float(sv[0] ** 2),
         expected_sum_sq=expected_sum_sq(ds.n, len(pred_idx)),
-        mc=expected_sum_sq_mc(sv, ds.n, cfg.trials, cfg.seed),
+        mc=expected_sum_sq_mc(sv, ds.n, trials, seed),
     )
-    rep = DiagnosticReport(version=__version__, mode="dataset-audit", seed=cfg.seed,
+    rep = DiagnosticReport(version=__version__, mode="dataset-audit", seed=seed,
                            dataset=section)
     obj = {"tool": "effectaudit", **report_module._to_dict(rep)}
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
@@ -1050,8 +1044,8 @@ def test_audit_report_bytes_match_the_per_column_route(outcome):
     text = ",".join(names) + "\n" + "".join(
         ",".join(repr(float(v)) for v in row) + "\n" for row in np.column_stack([x, y]))
     ds = load_csv(text.encode())
-    cfg = AuditConfig(outcome_column=outcome, trials=3000, seed=7)
-    assert render_report(audit_dataset(ds, cfg), "json") == per_column_audit_json(ds, cfg)
+    got = render_report(audit_dataset(ds, outcome, trials=3000, seed=7), "json")
+    assert got == per_column_audit_json(ds, outcome, 3000, 7)
 
 
 @pytest.mark.parametrize("outcome", [-1, 0, 25])
@@ -1062,12 +1056,11 @@ def test_audit_dataset_memory_is_one_copy_of_the_table(outcome):
     rng = np.random.default_rng(51)
     n, width = 20_000, 51
     ds = Dataset(column_names=tuple(f"c{j}" for j in range(width)),
-                 columns=rng.standard_normal((width, n)))
-    cfg = AuditConfig(outcome_column=outcome, trials=200)
-    audit_dataset(ds, cfg)
+                 table=rng.standard_normal((width, n)))
+    audit_dataset(ds, outcome, trials=200)
     tracemalloc.start()
     try:
-        audit_dataset(ds, cfg)
+        audit_dataset(ds, outcome, trials=200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1081,7 +1074,7 @@ def offset_dataset(n: int, width: int, offset: float, spread: float, seed: int) 
     raw = rng.standard_normal((width, n)).T @ rng.standard_normal((width, width)) * spread
     signs = rng.choice([-1.0, 1.0], width)
     return Dataset(column_names=tuple(f"c{j}" for j in range(width)),
-                   columns=raw.T + (signs * offset)[:, np.newaxis])
+                   table=raw.T + (signs * offset)[:, np.newaxis])
 
 
 @given(
@@ -1101,7 +1094,7 @@ def test_audit_correlations_are_accurate_at_any_offset(k, n, p, outcome, seed):
     # under (1.01 n + 12) u, within (n + 10) eps.  One centering pass erred by
     # 5.7e-13 at 1e10.
     ds = offset_dataset(n, p + 1, 10.0**k, 1.0, seed)
-    rep = audit_dataset(ds, AuditConfig(outcome_column=outcome, trials=2)).dataset
+    rep = audit_dataset(ds, outcome, trials=2).dataset
     table = ds.table.astype(np.longdouble)
     table -= table.mean(axis=1, keepdims=True)
     table -= table.mean(axis=1, keepdims=True)
@@ -1121,15 +1114,15 @@ def test_audit_names_a_column_at_an_offset_of_1e14_spreads():
     # within the 1e-14 of rounding that makes a column constant
     rng = np.random.default_rng(14)
     a, far, y = rng.standard_normal((3, 200))
-    ds = Dataset(column_names=("a", "far", "y"), columns=(a, 1e14 + 0.5 * far, y))
+    ds = Dataset(column_names=("a", "far", "y"), table=[a, 1e14 + 0.5 * far, y])
     with pytest.raises(ConstantColumnError, match="'far'"):
-        audit_dataset(ds, AuditConfig(outcome_column="y", trials=2))
+        audit_dataset(ds, "y", trials=2)
 
 
 SCALE_COLUMNS = np.random.default_rng(600).standard_normal((5, 300))
 SCALE_REPORT = render_report(
-    audit_dataset(Dataset(column_names=("a", "b", "c", "d", "y"), columns=SCALE_COLUMNS),
-                  AuditConfig(outcome_column="y", trials=200, seed=1)),
+    audit_dataset(Dataset(column_names=("a", "b", "c", "d", "y"), table=SCALE_COLUMNS),
+                  "y", trials=200, seed=1),
     "json",
 )
 
@@ -1141,41 +1134,41 @@ def test_audit_report_is_unchanged_by_a_power_of_two_scale(k, column):
     # bytes must not move, even where squared entries overflow or underflow.
     cols = SCALE_COLUMNS.copy()
     cols[column] = np.ldexp(cols[column], k)
-    ds = Dataset(column_names=("a", "b", "c", "d", "y"), columns=cols)
+    ds = Dataset(column_names=("a", "b", "c", "d", "y"), table=cols)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = audit_dataset(ds, AuditConfig(outcome_column="y", trials=200, seed=1))
+        rep = audit_dataset(ds, "y", trials=200, seed=1)
     assert render_report(rep, "json") == SCALE_REPORT
 
 
 @pytest.mark.parametrize("value", [1e-300, 2.0**-1000, 5e-324, 1e300])
 def test_audit_names_a_constant_column_of_extreme_values(value):
     a, y = np.random.default_rng(3).standard_normal((2, 50))
-    ds = Dataset(column_names=("a", "tiny", "y"), columns=(a, np.full(50, value), y))
+    ds = Dataset(column_names=("a", "tiny", "y"), table=[a, np.full(50, value), y])
     with pytest.raises(ConstantColumnError, match="'tiny'"):
-        audit_dataset(ds, AuditConfig(outcome_column="y", trials=2))
+        audit_dataset(ds, "y", trials=2)
 
 
 def test_audit_dataset_names_a_constant_predictor_before_a_constant_outcome():
     # the outcome comes first in the table, but predictors are named first
     ds = Dataset(
         column_names=("y", "a", "flat", "also_flat"),
-        columns=([5.0, 5, 5, 5], [1.0, 2, 3, 5], [2.0, 2, 2, 2], [0.0, 0, 0, 0]),
+        table=[[5.0, 5, 5, 5], [1.0, 2, 3, 5], [2.0, 2, 2, 2], [0.0, 0, 0, 0]],
     )
     with pytest.raises(ConstantColumnError, match="'flat'"):
-        audit_dataset(ds, AuditConfig(outcome_column="y", trials=100))
+        audit_dataset(ds, "y", trials=100)
     with pytest.raises(ConstantColumnError, match="'y'"):
-        audit_dataset(Dataset(column_names=("y", "a"), columns=([5.0, 5, 5, 5], [1.0, 2, 3, 5])),
-                      AuditConfig(outcome_column="y", trials=100))
+        audit_dataset(Dataset(column_names=("y", "a"), table=[[5.0, 5, 5, 5], [1.0, 2, 3, 5]]),
+                      "y", trials=100)
 
 
 def test_audit_dataset_shape_guards():
     ds = Dataset(
         column_names=("a", "b", "c", "y"),
-        columns=tuple(np.array(c, dtype=float) for c in ([1, 2, 3], [3, 1, 2], [2, 3, 1], [1, 3, 2])),
+        table=[[1, 2, 3], [3, 1, 2], [2, 3, 1], [1, 3, 2]],
     )
     with pytest.raises(InvalidShapeError):
-        audit_dataset(ds, AuditConfig(trials=100))  # n = 3 <= p = 3
+        audit_dataset(ds, trials=100)  # n = 3 <= p = 3
 
 
 def test_audit_claims_vacuous_without_cross():
@@ -1357,9 +1350,9 @@ def round_trip_reports() -> dict[str, DiagnosticReport]:
     ds = load_csv_file(BOUNDARY_CSV)
     sphere, aggregate, logistic, mi, tightness = other_mode_reports()
     return {
-        "dataset": audit_dataset(ds, AuditConfig(outcome_column="y", trials=500, seed=1)),
+        "dataset": audit_dataset(ds, "y", trials=500, seed=1),
         "dataset_singular": audit_dataset(
-            load_csv_file(DUPLICATED_CSV), AuditConfig(outcome_column="y", trials=500, seed=1)
+            load_csv_file(DUPLICATED_CSV), "y", trials=500, seed=1
         ),
         "claims_vacuous": audit_claims(ClaimSet(tau=np.full(4, 0.3))),
         "claims_eps": audit_claims(ClaimSet(tau=np.full(5, 0.5)), eps=0.005),
@@ -1417,7 +1410,7 @@ def test_report_json_schema_top_level():
 
 def test_golden_report_regenerates_byte_identical():
     ds = load_csv_file(BOUNDARY_CSV)
-    rep = audit_dataset(ds, AuditConfig(outcome_column="y", trials=2000, seed=3))
+    rep = audit_dataset(ds, "y", trials=2000, seed=3)
     with open(GOLDEN_REPORT, "r", encoding="utf-8") as fh:
         assert render_report(rep, "json") == fh.read()
 
@@ -1429,7 +1422,7 @@ def test_text_rendering_headlines():
     logi = texts[2]
     assert "(~ 0.01 to 0.99)" in logi and "total logit: 10" in logi
     ds_text = render_report(
-        audit_dataset(load_csv_file(BOUNDARY_CSV), AuditConfig(outcome_column="y", trials=500)),
+        audit_dataset(load_csv_file(BOUNDARY_CSV), "y", trials=500),
         "text",
     )
     assert "all bounds satisfied" in ds_text
