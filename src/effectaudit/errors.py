@@ -168,6 +168,14 @@ class UnknownColumnError(EffectAuditError):
     """Requested column name or index does not exist."""
 
 
+class DuplicateColumnError(EffectAuditError):
+    """Two columns of a dataset share a name; ``name`` is the first one repeated."""
+
+    def __init__(self, name: str):
+        super().__init__(f"duplicate column name {echo(repr(name))}")
+        self.name = name
+
+
 class ConstantColumnError(EffectAuditError):
     """A dataset column is constant and carries no correlation information."""
 

@@ -19,13 +19,15 @@ with z_k iid N(0, 1) and an independent chi-square (identically 0 when
 n - 1 = p).  The Monte Carlo routines draw from this law directly: one draw
 costs O(p) time and memory, whatever n is, and zero singular values of
 rank-deficient designs carry exactly zero weight.  The chi-square mixture
-(1/(n-1)) sum_k sigma_k^2 xi_k that :func:`chisq_mixture_compare` measures
-against is only the large-n limit of this law; at small n the two differ by
-construction (a KS distance near 0.09 at n=11, p=5).  That distance is the
-two-sample Kolmogorov-Smirnov statistic, computed here in numpy; it equals
-scipy's ``ks_2samp(...).statistic`` bit for bit, including the exact-mode
-rounding to a multiple of 1/lcm(n1, n2) when neither sample has more than
-10000 values.
+(1/(n-1)) sum_k sigma_k^2 xi_k, with each xi_k a squared standard normal, is
+only the large-n limit of this law; at small n the two differ by construction
+(a KS distance near 0.09 at n=11, p=5).  :func:`chisq_mixture_compare` draws
+the exact law once and reports both the sample's mean, with the bits
+:func:`expected_sum_sq_mc` gives for the same seed, and its distance to the
+mixture.  That distance is the two-sample Kolmogorov-Smirnov statistic,
+computed here in numpy; it equals scipy's ``ks_2samp(...).statistic`` bit for
+bit, including the exact-mode rounding to a multiple of 1/lcm(n1, n2) when
+neither sample has more than 10000 values.
 
 The singular values are the square roots of the eigenvalues of X^T X, which an
 audit reads from one Gram product of its standardized table; :func:`svd`
@@ -37,8 +39,8 @@ random design's spectrum by Bartlett's decomposition, in O(p^2) draws whatever
 n is.
 
 This module provides the exact pieces (standardize, svd) and the stochastic
-ones (a random spectrum, mean estimation, a chi-square mixture comparison), all
-deterministic for a fixed seed.
+ones (a random spectrum, mean estimation, and mean estimation with a
+chi-square mixture comparison), all deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -122,17 +124,20 @@ _QR_ROWS = 2048
 _RANK_GUARD = 1e4
 
 # Memory one request may hold where it grows with an option, and what one
-# chisq_mixture_compare call holds per trial (tracemalloc peak over trials:
-# 57 bytes at 10^5 trials and p = 50, 56 at 10^6, whatever p is).
-# simulate-sphere refuses more trials than fit.
+# chisq_mixture_compare call holds per trial: the sample and the mixture, then
+# the KS step's sorted copies and CDF columns; each batch's draws are freed
+# before that step (tracemalloc peak over trials: 56.7 bytes at 10^5 trials,
+# 56.1 at 10^6, at p = 5 and p = 50).  simulate-sphere refuses more trials
+# than fit.
 MEMORY_BUDGET = 2**30
 _MIXTURE_BYTES_PER_TRIAL = 64
 MAX_MIXTURE_TRIALS = MEMORY_BUDGET // _MIXTURE_BYTES_PER_TRIAL
 
-# simulate-sphere holds p x p arrays, then two _BATCH x p batches of draws,
-# whatever n is (tracemalloc peak through the CLI: 32 bytes per p^2 at p = 2000,
-# 16 per _BATCH * p at p = 1000), about 540 MB at MAX_SPHERE_P; its chi-square
-# draws of up to n - 1 degrees of freedom stay finite far below MAX_SPHERE_N.
+# simulate-sphere holds p x p arrays, then one _BATCH x p batch of draws at a
+# time, whatever n is (tracemalloc peak through the CLI: 32 bytes per p^2 at
+# p = 2000, 10 per _BATCH * p at p = 1000), about 540 MB at MAX_SPHERE_P; its
+# chi-square draws of up to n - 1 degrees of freedom stay finite far below
+# MAX_SPHERE_N.
 MAX_SPHERE_P = 4095
 MAX_SPHERE_N = 10**300
 
@@ -329,27 +334,25 @@ def expected_sum_sq(n: int, p: int) -> float:
     return p / (n - 1)
 
 
-def expected_sum_sq_mc(
-    singular_values: np.ndarray, n: int, trials: int, seed: int
+def _law_estimate(
+    sigma_sq: np.ndarray, n: int, trials: int, seed: int, sample: np.ndarray | None = None
 ) -> MonteCarloEstimate:
-    """Monte Carlo estimate of E(sum_i corr(X_i, y)^2) under sphere-uniform y.
-
-    Trials are drawn from the exact law of the statistic (see the module
-    docstring), so the cost is O(trials * p) whatever n is.  A fixed ``seed``
-    reproduces the estimate bit for bit.
+    """Mean of ``trials`` exact-law draws from ``seed``'s spawn-0 stream; each
+    batch is also copied into ``sample`` when one is given.
 
     The values, of order p / (n - 1), are accumulated divided by 2^e, the power
     of two of that order, so their squared deviations do not underflow however
     large n is.  Scaling by a power of two is exact, so wherever nothing
     underflowed unscaled the estimate has the same bits.
     """
-    if trials < 2:
-        raise InvalidShapeError(f"need at least 2 trials, got {trials}")
-    sigma_sq = np.asarray(singular_values, dtype=float) ** 2
     e = math.frexp(expected_sum_sq(n, sigma_sq.size))[1]
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     moments = RunningMoments()
+    done = 0
     for batch in _law_sum_sq_batches(sigma_sq, n, trials, rng):
+        if sample is not None:
+            sample[done:done + batch.size] = batch
+            done += batch.size
         moments.update(np.ldexp(batch, -e))
     return MonteCarloEstimate(
         mean=math.ldexp(moments.mean, e),
@@ -359,36 +362,54 @@ def expected_sum_sq_mc(
     )
 
 
-def chisq_mixture_compare(singular_values: np.ndarray, n: int, trials: int, seed: int) -> float:
-    """Kolmogorov-Smirnov distance between simulated sums and the chi-square mixture.
+def expected_sum_sq_mc(
+    singular_values: np.ndarray, n: int, trials: int, seed: int
+) -> MonteCarloEstimate:
+    """Monte Carlo estimate of E(sum_i corr(X_i, y)^2) under sphere-uniform y.
 
-    Compares per-trial values of sum_i corr(X_i, y)^2 under sphere-uniform y,
-    drawn from the exact finite-sample law, against draws of
-    (1/(n-1)) sum_k sigma_k^2 xi_k with xi_k iid chi-square(1).  The mixture is
-    the asymptotic (large-n) law, so the distance measures that approximation
-    as well as sampling noise: it is near 0.09 at n=11, p=5 however many
-    trials are drawn.  Returns the two-sample KS statistic, computed in numpy
-    by :func:`_ks_statistic` and equal to scipy's two-sample statistic,
-    including its exact-mode rounding at 10000 trials or fewer; no pass/fail
-    judgement is made here.  Both samples are drawn in batches of ``_BATCH``
-    trials; memory is about 56 bytes per trial, whatever p is.
+    Trials are drawn from the exact law of the statistic (see the module
+    docstring), so the cost is O(trials * p) whatever n is.  A fixed ``seed``
+    reproduces the estimate bit for bit.
+    """
+    if trials < 2:
+        raise InvalidShapeError(f"need at least 2 trials, got {trials}")
+    sigma_sq = np.asarray(singular_values, dtype=float) ** 2
+    return _law_estimate(sigma_sq, n, trials, seed)
+
+
+def chisq_mixture_compare(
+    singular_values: np.ndarray, n: int, trials: int, seed: int
+) -> tuple[MonteCarloEstimate, float]:
+    """Monte Carlo mean of the exact law, and its Kolmogorov-Smirnov distance
+    to the chi-square mixture, from one sample.
+
+    The sample is the one :func:`expected_sum_sq_mc` draws for ``seed``, so the
+    estimate has its bits.  It is compared against draws of
+    (1/(n-1)) sum_k sigma_k^2 xi_k, where each xi_k ~ chi-square(1) is a squared
+    standard normal, drawn from ``seed``'s spawn-1 stream in the row-major
+    order of one (trials, p) draw.  The mixture is the asymptotic (large-n)
+    law, so the distance measures that approximation as well as sampling
+    noise: it is near 0.09 at n=11, p=5 however many trials are drawn.  The
+    distance is the two-sample KS statistic, computed in numpy by
+    :func:`_ks_statistic` and equal to scipy's, including its exact-mode
+    rounding at 10000 trials or fewer; no pass/fail judgement is made here.
+    Both samples are drawn in batches of ``_BATCH`` trials; memory is about
+    56 bytes per trial, whatever p is.
     """
     if trials < 1000:
         raise InvalidShapeError(f"need at least 1000 trials for a stable distance, got {trials}")
     sigma_sq = np.asarray(singular_values, dtype=float) ** 2
-    rng_sim = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    rng_mix = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    sim = np.empty(trials)
-    mix = np.empty(trials)
-    done = 0
-    for batch in _law_sum_sq_batches(sigma_sq, n, trials, rng_sim):
-        m = batch.size
-        sim[done:done + m] = batch
-        # Row-major draws: the same values as one (trials, p) draw.
-        mix[done:done + m] = rng_mix.chisquare(1.0, size=(m, sigma_sq.size)) @ sigma_sq
-        done += m
-    mix /= n - 1
-    return _ks_statistic(sim, mix)
+    sample = np.empty(trials)
+    estimate = _law_estimate(sigma_sq, n, trials, seed, sample)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    mixture = np.empty(trials)
+    for start in range(0, trials, _BATCH):
+        xi = rng.standard_normal((min(_BATCH, trials - start), sigma_sq.size))
+        xi *= xi
+        mixture[start:start + xi.shape[0]] = xi @ sigma_sq
+        del xi  # before the next batch, and before the KS step
+    mixture /= n - 1
+    return estimate, _ks_statistic(sample, mixture)
 
 
 def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:

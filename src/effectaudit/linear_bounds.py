@@ -21,7 +21,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatchError, TauOutOfRangeError, ValueOutOfRangeError
+from .errors import (
+    DimensionMismatchError,
+    InvalidShapeError,
+    TauOutOfRangeError,
+    ValueOutOfRangeError,
+)
 from .matrix_core import CorrelationMatrix, SecondMomentMatrix
 
 FEASIBILITY_TOLERANCE = 1e-9
@@ -141,6 +146,12 @@ def _check_p_tau(p: int, tau: float) -> None:
         raise TauOutOfRangeError(tau)
 
 
+def _check_eps(eps: float) -> None:
+    # eps is one minus a correlation; in [0, 2], sqrt(2 eps) stays finite.
+    if not 0.0 <= eps <= 2.0:  # NaN fails too
+        raise InvalidShapeError(f"eps must be finite and in [0, 2], got {eps!r}")
+
+
 def vdc_check(corr_xy: np.ndarray, cross: CorrelationMatrix) -> BoundReport:
     """Check sum |corr(X_i, y)| <= sqrt(p + sum_{i != j} |cross_ij|).
 
@@ -201,13 +212,13 @@ def multi_outcome_min_mass(p: int, tau: float, eps: float) -> float:
     :func:`multi_outcome_degenerate`).
     """
     _check_p_tau(p, tau)
-    if not eps >= 0.0:
-        raise ValueOutOfRangeError("eps", float(eps), "must be non-negative")
+    _check_eps(eps)
     return p * ((tau - math.sqrt(2.0 * eps)) ** 2 * p - 1.0)
 
 
 def multi_outcome_degenerate(tau: float, eps: float) -> bool:
     """True when the multi-outcome bound is uninformative (tau < sqrt(2 eps))."""
+    _check_eps(eps)
     return tau < math.sqrt(2.0 * eps)
 
 

@@ -23,6 +23,7 @@ from .errors import (
     ConstantVectorError,
     CsvParseError,
     DimensionMismatchError,
+    DuplicateColumnError,
     InvalidJointError,
     InvalidShapeError,
     MissingValueError,
@@ -92,7 +93,8 @@ MAX_CLAIMS_BYTES = MEMORY_BUDGET // 16
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Named numeric columns of equal length, no missing or non-finite cells.
+    """Named numeric columns of equal length, no missing or non-finite cells,
+    no two with one name.
 
     ``table`` is given as a (width, n) array-like, one row per name, and kept
     as one read-only C-ordered float copy.
@@ -108,14 +110,17 @@ class Dataset:
             table = None
         if table is None or table.ndim != 2:
             raise InvalidShapeError("table must be 2-D, one row of equal length per column")
-        if len(self.column_names) != table.shape[0]:
+        names = tuple(self.column_names)
+        if len(names) != table.shape[0]:
             raise DimensionMismatchError("names and columns differ in count")
+        if len(set(names)) != len(names):
+            raise DuplicateColumnError(next(c for i, c in enumerate(names) if c in names[:i]))
         if not np.isfinite(table).all():
             raise InvalidShapeError("columns must be finite")
         if table.shape[1] < MIN_ROWS:
             raise TooFewRowsError(f"need at least {MIN_ROWS} rows, got {table.shape[1]}")
         table.flags.writeable = False
-        object.__setattr__(self, "column_names", tuple(self.column_names))
+        object.__setattr__(self, "column_names", names)
         object.__setattr__(self, "table", table)
 
     @property
@@ -140,8 +145,15 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
     return v
 
 
-def _split_lines(data: bytes) -> list[str]:
-    """Decode the file (dropping a leading BOM) into lines, without trailing blank ones."""
+def _split_lines(data: bytes) -> tuple[list[str], bool]:
+    """Decode the file (dropping a leading BOM) into lines, without trailing blank
+    ones, and say whether the lines after the first are plain: ASCII, without '_'.
+
+    That test reads the text once.  ``str.isascii`` is O(1) on CPython, and
+    after the first line the text holds only the later lines, line breaks and
+    blank lines, so a '_' there is in a later line.  Only a text that is not all
+    ASCII has its later lines tested one by one.
+    """
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -149,25 +161,26 @@ def _split_lines(data: bytes) -> list[str]:
     lines = text.splitlines()
     while lines and lines[-1].strip() == "":
         lines.pop()
-    return lines
+    plain = bool(lines) and text.find("_", len(lines[0])) < 0 and (
+        text.isascii() or all(map(str.isascii, lines[1:])))
+    return lines, plain
 
 
-def _parse_body(lines: list[str], width: int) -> np.ndarray:
+def _parse_body(lines: list[str], width: int, plain: bool) -> np.ndarray:
     """Parse data lines (the header excluded) into a (rows, width) array.
 
-    When the body is plain ASCII without '_' (which ``float`` would otherwise
-    accept, as in '1_000' or non-ASCII digits), numpy's C reader converts it
-    in one pass; each cell goes through the same string-to-double conversion
-    as ``float``, so the values are identical.  Its result is kept only when
-    it has exactly one row of ``width`` finite values per line: the reader
-    skips blank lines and does not check rows against the header's width, so
-    the shape check catches those.  Otherwise the cells are walked in
-    row-major order, which raises the first fault; error rows count the header
-    as row 1.
+    When the body is ``plain`` (see :func:`_split_lines`), ASCII without '_'
+    (which ``float`` would otherwise accept, as in '1_000' or non-ASCII
+    digits), numpy's C reader converts it in one pass; each cell goes through
+    the same string-to-double conversion as ``float``, so the values are
+    identical.  Its result is kept only when it has exactly one row of
+    ``width`` finite values per line: the reader skips blank lines and does not
+    check rows against the header's width, so the shape check catches those.
+    Otherwise the cells are walked in row-major order, which raises the first
+    fault; error rows count the header as row 1.
     """
     n = len(lines)
-    # Line by line, so the test holds no copy of the body.
-    if all(map(str.isascii, lines)) and not any("_" in line for line in lines):
+    if plain:
         try:
             with warnings.catch_warnings():
                 # e.g. "input contained no data" on an all-blank body
@@ -192,7 +205,7 @@ def load_csv(data: bytes) -> Dataset:
 
     Error positions are 1-based and count the header as row 1.
     """
-    lines = _split_lines(data)
+    lines, plain = _split_lines(data)
     if not lines:
         raise TooFewRowsError("file is empty")
     header = [name.strip() for name in lines[0].split(",")]
@@ -203,7 +216,7 @@ def load_csv(data: bytes) -> Dataset:
         raise CsvParseError(1, header.index(dupe) + 1, f"duplicate column name {echo(repr(dupe))}")
     if len(lines) - 1 < MIN_ROWS:
         raise TooFewRowsError(f"need at least {MIN_ROWS} data rows, got {len(lines) - 1}")
-    values = _parse_body(lines[1:], len(header))
+    values = _parse_body(lines[1:], len(header), plain)
     del lines  # release the line strings before Dataset copies the table
     return Dataset(column_names=tuple(header), table=values.T)
 
@@ -240,7 +253,7 @@ def load_matrix_csv(path: str | os.PathLike) -> CorrelationMatrix:
 
     The matrix is symmetrized exactly, then fully validated.
     """
-    lines = _split_lines(_read_input(path, MAX_CSV_BYTES, "CSV file"))
+    lines, plain = _split_lines(_read_input(path, MAX_CSV_BYTES, "CSV file"))
     if len(lines) < 2:
         raise TooFewRowsError("matrix file needs a header row and at least one data row")
     width = len(lines[0].split(","))
@@ -248,7 +261,7 @@ def load_matrix_csv(path: str | os.PathLike) -> CorrelationMatrix:
         raise InvalidShapeError(
             f"matrix must be square: header has {width} columns, found {len(lines) - 1} rows"
         )
-    values = _parse_body(lines[1:], width)
+    values = _parse_body(lines[1:], width, plain)
     return validate_correlation(SymMatrix.symmetrized(values))
 
 
@@ -681,9 +694,6 @@ def audit_claims(claims: ClaimSet, eps: float | None = None) -> DiagnosticReport
     mo_req = None
     mo_bound = None
     if eps is not None:
-        # eps is one minus a correlation; in [0, 2], sqrt(2 eps) stays finite.
-        if not 0.0 <= eps <= 2.0:  # NaN fails too
-            raise InvalidShapeError(f"eps must be finite and in [0, 2], got {eps!r}")
         degenerate = multi_outcome_degenerate(tau_min, eps)
         mo = _mass_requirement(multi_outcome_min_mass(p, tau_min, eps), p)
         mo_req = MultiOutcomeRequirement(

@@ -251,7 +251,7 @@ def test_simulate_sphere_memory_does_not_grow_with_n(capsys):
 
 
 def test_simulate_sphere_p_cap_keeps_the_memory_budget(capsys):
-    # the bytes behind the --p cap: p x p arrays, then two _BATCH x p batches
+    # the bytes behind the --p cap: p x p arrays, then _BATCH x p batches
     p = 600
     peak = sphere_peak(10**6, p, 5000)
     capsys.readouterr()

@@ -591,9 +591,9 @@ def test_mc_argument_validation():
 def test_chisq_mixture_compare_deterministic_and_small():
     rng = np.random.default_rng(90)
     x = random_sample_matrix(200, 5, rng)
-    d1 = chisq_mixture_compare(singular_values(x), x.shape[0], trials=4000, seed=12)
-    d2 = chisq_mixture_compare(singular_values(x), x.shape[0], trials=4000, seed=12)
-    assert d1 == d2
+    est1, d1 = chisq_mixture_compare(singular_values(x), x.shape[0], trials=4000, seed=12)
+    est2, d2 = chisq_mixture_compare(singular_values(x), x.shape[0], trials=4000, seed=12)
+    assert d1 == d2 and est1 == est2
     assert 0.0 <= d1 < 0.05  # large-n regime: the mixture is a close fit
     with pytest.raises(InvalidShapeError):
         chisq_mixture_compare(singular_values(x), x.shape[0], trials=10, seed=0)
@@ -602,7 +602,8 @@ def test_chisq_mixture_compare_deterministic_and_small():
 @pytest.mark.parametrize("p", [1, 3, 7, 50])
 @pytest.mark.parametrize("trials", [1000, 4096, 12345])
 def test_chisq_mixture_compare_streams_the_one_shot_draws(p, trials, monkeypatch):
-    # the batched mixture equals one (trials, p) draw bit for bit
+    # the sample is the exact-law stream of spawn key 0; the batched mixture
+    # equals one (trials, p) normal draw of spawn key 1, squared, bit for bit
     x = random_sample_matrix(60, p, np.random.default_rng(p))
     seen = []
     monkeypatch.setattr(finite_sample, "_ks_statistic", lambda a, b: seen.append((a, b)) or 0.0)
@@ -612,9 +613,35 @@ def test_chisq_mixture_compare_streams_the_one_shot_draws(p, trials, monkeypatch
     rng_sim = np.random.default_rng(np.random.SeedSequence(21, spawn_key=(0,)))
     rng_mix = np.random.default_rng(np.random.SeedSequence(21, spawn_key=(1,)))
     one_sim = np.concatenate(list(_law_sum_sq_batches(sigma_sq, x.shape[0], trials, rng_sim)))
-    one_mix = (rng_mix.chisquare(1.0, size=(trials, p)) @ sigma_sq) / (x.shape[0] - 1)
+    one_mix = (rng_mix.standard_normal((trials, p)) ** 2 @ sigma_sq) / (x.shape[0] - 1)
     assert np.array_equal(sim, one_sim)
     assert np.array_equal(mix, one_mix)
+
+
+@pytest.mark.parametrize("p", [1, 3, 50])
+@pytest.mark.parametrize("trials", [1000, 4096, 12345])
+def test_chisq_mixture_compare_estimate_is_expected_sum_sq_mc(p, trials):
+    # one sample feeds both statistics: the estimate has the bits of the mean
+    # estimator's for the same seed
+    x = random_sample_matrix(60, p, np.random.default_rng(p + 100))
+    sv = singular_values(x)
+    estimate, _ = chisq_mixture_compare(sv, x.shape[0], trials, seed=33)
+    assert estimate == expected_sum_sq_mc(sv, x.shape[0], trials, seed=33)
+
+
+def test_squared_normals_follow_the_chi_square_law():
+    # the mixture's chi-square(1) terms are squared standard normals; against
+    # numpy's chi-square sampler at 10^5 draws each, the two-sample KS
+    # distance stays below the critical value c(alpha) sqrt(2 / m) at
+    # alpha = 1e-3, c(alpha) = sqrt(-log(alpha / 2) / 2)
+    m = 10**5
+    rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(1,)))
+    squared = rng.standard_normal(m) ** 2
+    gamma = np.random.default_rng(6).chisquare(1.0, size=m)
+    critical = math.sqrt(-math.log(1e-3 / 2) / 2) * math.sqrt(2 / m)
+    assert _ks_statistic(squared, gamma) < critical
+    # a chi-square of 1.05 degrees of freedom is told apart at this size
+    assert _ks_statistic(squared, np.random.default_rng(6).chisquare(1.05, size=m)) > critical
 
 
 def test_chisq_mixture_compare_memory_per_trial_is_bounded():
@@ -751,7 +778,8 @@ def test_mc_very_large_n_memory_stays_bounded():
 def test_chisq_mixture_compare_is_the_asymptotic_law():
     # at n=11, p=5 the exact law and the large-n mixture differ by construction
     x = random_sample_matrix(11, 5, np.random.default_rng(91))
-    assert chisq_mixture_compare(singular_values(x), x.shape[0], trials=20_000, seed=4) > 0.05
+    _, distance = chisq_mixture_compare(singular_values(x), x.shape[0], trials=20_000, seed=4)
+    assert distance > 0.05
 
 
 def _ks_samples(kind: str, n1: int, n2: int, rng: np.random.Generator):

@@ -1,6 +1,7 @@
 """Correlation-sum, spectral, and regression-norm feasibility bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,12 @@ from effectaudit import (
     tightness_instance,
     vdc_check,
 )
-from effectaudit.errors import DimensionMismatchError, EntryOutOfRangeError, TauOutOfRangeError
+from effectaudit.errors import (
+    DimensionMismatchError,
+    EntryOutOfRangeError,
+    InvalidShapeError,
+    TauOutOfRangeError,
+)
 from effectaudit.linear_bounds import BoundKind
 
 from test_matrix_core import random_correlation
@@ -236,7 +242,21 @@ def test_corr_vector_names_the_bad_entry_and_its_range(check, value, shown):
         check(np.array([0.5, value]), equicorrelation(2, 0.0))
 
 
-@pytest.mark.parametrize("eps,shown", [(-0.1, "-0.1"), (math.nan, "nan")])
+# eps is one minus a correlation; past 2 it is no such thing, and at 1e308
+# sqrt(2 eps) overflows to inf
+EPS_OUTSIDE = [(-0.1, "-0.1"), (math.nan, "nan"), (2.0000000000000004, "2.0000000000000004"),
+               (1e308, "1e+308"), (math.inf, "inf"), (-math.inf, "-inf")]
+EPS_MESSAGE = re.escape("eps must be finite and in [0, 2], got ")
+
+
+@pytest.mark.parametrize("eps,shown", EPS_OUTSIDE)
 def test_multi_outcome_min_mass_names_eps(eps, shown):
-    with pytest.raises(EntryOutOfRangeError, match=rf"^eps = {shown} must be non-negative$"):
+    with pytest.raises(InvalidShapeError, match=rf"^{EPS_MESSAGE}{re.escape(shown)}$"):
         multi_outcome_min_mass(3, 0.5, eps)
+
+
+@pytest.mark.parametrize("eps,shown", EPS_OUTSIDE)
+def test_multi_outcome_degenerate_names_eps(eps, shown):
+    # it used to answer True at eps = 1e308 and inf, and False at nan
+    with pytest.raises(InvalidShapeError, match=rf"^{EPS_MESSAGE}{re.escape(shown)}$"):
+        multi_outcome_degenerate(0.5, eps)

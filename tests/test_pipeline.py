@@ -41,6 +41,7 @@ from effectaudit.errors import (
     CorrelationValidationError,
     CsvParseError,
     DimensionMismatchError,
+    DuplicateColumnError,
     InvalidJointError,
     InvalidShapeError,
     MissingValueError,
@@ -63,7 +64,7 @@ from effectaudit.linear_bounds import (
     vdc_check,
 )
 from effectaudit.matrix_core import SecondMomentMatrix, SymMatrix, validate_correlation
-from effectaudit.pipeline import _parse_body, _parse_cell
+from effectaudit.pipeline import _parse_body, _parse_cell, _split_lines
 from effectaudit.report import DatasetAuditSection
 
 from test_finite_sample import standardize_one
@@ -200,6 +201,12 @@ def test_load_csv_values_equal_float_of_each_cell():
     np.testing.assert_array_equal(ds.table.T, values)
 
 
+def parse_body(lines: list[str], width: int) -> np.ndarray:
+    """``_parse_body`` on the route that ``_split_lines`` picks for a file of these lines."""
+    _, plain = _split_lines("\n".join(["h", *lines]).encode("utf-8"))
+    return _parse_body(lines, width, plain)
+
+
 def cell_walk(lines: list[str], width: int) -> np.ndarray:
     """Reference parser: the row-major cell walk alone, without the C reader."""
     values = np.empty((len(lines), width))
@@ -243,7 +250,7 @@ def test_parse_body_equals_the_cell_walk_bit_for_bit(body):
     lines, width = body
     # a well-formed body never reaches the cell walk
     with mock.patch("effectaudit.pipeline._parse_cell", side_effect=AssertionError("walked")):
-        got = _parse_body(lines, width)
+        got = parse_body(lines, width)
     want = cell_walk(lines, width)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -284,8 +291,32 @@ def assert_raises_like_the_cell_walk(lines: list[str], width: int) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(type(want.value)) as got:
-            _parse_body(lines, width)
+            parse_body(lines, width)
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+# Line breaks that str.splitlines honours, ASCII and not; cells of the dialect
+# and outside it; blank lines, Unicode spaces among them, that end a file.
+BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1e", "\x85", "\u2028"])
+ROUTE_CELLS = st.sampled_from(["1", " 2.5", "-3e4\t", "1_000", "\xa01", "\u0661", "", "x"])
+BLANKS = st.lists(st.sampled_from(["", " ", "\t", "\u3000", "\xa0"]), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["a,b", "x_1,y", "\u00e9t\u00e9,y", "_,\u2603"]),
+    st.lists(st.lists(ROUTE_CELLS, min_size=1, max_size=3).map(",".join), max_size=6),
+    BLANKS, BREAKS, st.booleans(),
+)
+def test_split_lines_route_is_the_line_by_line_test(header, body, blanks, brk, bom):
+    # the one test of the text picks the loadtxt route exactly when every data
+    # line is ASCII without '_', whatever the header, the line breaks and the
+    # blank lines that end the file hold
+    text = brk.join([header, *body, *blanks])
+    lines, plain = _split_lines(("\ufeff" if bom else "").encode() + text.encode("utf-8"))
+    assert lines[0] == header
+    body = lines[1:]
+    assert plain == (all(map(str.isascii, body)) and not any("_" in line for line in body))
 
 
 def test_load_csv_drops_bom_and_keeps_header_characters():
@@ -982,6 +1013,21 @@ def test_dataset_names_one_row_each():
         Dataset(column_names=("a", "b", "extra"), table=np.ones((2, 5)))
     with pytest.raises(DimensionMismatchError, match="names and columns differ in count"):
         Dataset(column_names=("a",), table=np.ones((2, 5)))
+
+
+def test_dataset_refuses_a_repeated_name():
+    # ("a", "a", "y") used to audit the first "a" and list "y" among the
+    # outcome's predictors
+    table = np.random.default_rng(3).standard_normal((3, 20))
+    with pytest.raises(DuplicateColumnError, match=r"^duplicate column name 'a'$") as exc:
+        Dataset(column_names=("a", "a", "y"), table=table)
+    assert exc.value.name == "a"
+    # the first name that repeats an earlier one, as load_csv names it
+    with pytest.raises(DuplicateColumnError, match=r"^duplicate column name 'b'$"):
+        Dataset(column_names=("a", "b", "b", "a"), table=np.ones((4, 3)))
+    # load_csv keeps its own message, which carries the header position
+    with pytest.raises(CsvParseError, match=r"^row 1, column 2: duplicate column name 'b'$"):
+        load_csv(csv_bytes("a,b,b,a", "1,2,3,4", "2,3,4,5", "3,4,5,7"))
 
 
 def test_dataset_keeps_one_read_only_table_of_its_own():
