@@ -144,6 +144,15 @@ def test_simulate_sphere_deterministic_bytes(capsys):
     assert abs(rep.sphere.mc.mean - 0.5) < 6 * rep.sphere.mc.stderr
 
 
+@pytest.mark.parametrize("fmt,ext", [("json", "json"), ("text", "txt")])
+def test_simulate_sphere_renders_its_seeded_golden(capsys, fmt, ext):
+    # A computed run, so the Monte Carlo mean and the KS distance are pinned.
+    code, out, _ = run(capsys, "simulate-sphere", "--n", "200", "--p", "5", "--trials", "2000",
+                       "--seed", "1", "--format", fmt)
+    with open(os.path.join(HERE, "data", "golden", f"sphere_seeded.{ext}"), encoding="utf-8") as fh:
+        assert code == 0 and out == fh.read()
+
+
 def test_simulate_sphere_seed_changes_output(capsys):
     base = ("simulate-sphere", "--n", "11", "--p", "5", "--trials", "2000", "--format", "json")
     _, out7, _ = run(capsys, *base, "--seed", "7")
