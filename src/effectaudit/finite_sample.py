@@ -125,10 +125,11 @@ _RANK_GUARD = 1e4
 
 # Memory one request may hold where it grows with an option, and what one
 # chisq_mixture_compare call holds per trial: the sample and the mixture, then
-# the KS step's sorted copies and CDF columns; each batch's draws are freed
-# before that step (tracemalloc peak over trials: 56.7 bytes at 10^5 trials,
-# 56.1 at 10^6, at p = 5 and p = 50).  simulate-sphere refuses more trials
-# than fit.
+# the KS step's merged copy, its merge order and its counts; each batch's
+# draws are freed before that step (tracemalloc peak over trials: 58.7 bytes
+# at 10^5 trials, 58.1 at 10^6, at p = 5 and p = 50; the two stable sorts'
+# merge buffers, from malloc and so not traced, hold at most 8 more).
+# simulate-sphere refuses more trials than fit.
 MEMORY_BUDGET = 2**30
 _MIXTURE_BYTES_PER_TRIAL = 64
 MAX_MIXTURE_TRIALS = MEMORY_BUDGET // _MIXTURE_BYTES_PER_TRIAL
@@ -255,7 +256,12 @@ def _qr_ratios(rows: np.ndarray, pred, vk: np.ndarray, sigma_k: np.ndarray) -> n
     """
     r = np.empty((0, vk.shape[1]))
     for start in range(0, rows.shape[1], _QR_ROWS):
-        r = np.linalg.qr(np.vstack([r, rows[pred, start:start + _QR_ROWS].T @ vk]), mode="r")
+        # np.linalg.qr copies its input twice, so the old R and each stacked
+        # block are dropped as soon as they are read.
+        stacked = np.vstack([r, rows[pred, start:start + _QR_ROWS].T @ vk])
+        del r
+        r = np.linalg.qr(stacked, mode="r")
+        del stacked
     return np.abs(np.diagonal(r)) / sigma_k
 
 
@@ -394,7 +400,7 @@ def chisq_mixture_compare(
     :func:`_ks_statistic` and equal to scipy's, including its exact-mode
     rounding at 10000 trials or fewer; no pass/fail judgement is made here.
     Both samples are drawn in batches of ``_BATCH`` trials; memory is about
-    56 bytes per trial, whatever p is.
+    59 bytes per trial, whatever p is.
     """
     if trials < 1000:
         raise InvalidShapeError(f"need at least 1000 trials for a stable distance, got {trials}")
@@ -420,18 +426,33 @@ def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     neither sample exceeds 10000 values the statistic is rounded to the
     nearest multiple of 1/lcm(n1, n2), as scipy's exact mode does.
     """
-    a = np.sort(a)
-    b = np.sort(b)
     n1, n2 = a.size, b.size
-    # The CDF difference at a's points, then at b's: the extremes over the
-    # union, without holding an (n1 + n2)-sized array.
-    hi, lo = -np.inf, np.inf
-    for points in (a, b):
-        diff = np.searchsorted(a, points, side="right") / n1
-        diff -= np.searchsorted(b, points, side="right") / n2
-        hi = max(hi, float(diff.max()))
-        lo = min(lo, float(diff.min()))
-    d = max(hi, float(np.clip(-lo, 0.0, 1.0)))
+    # Each CDF is read as a cumulative count at the last index of each tie
+    # run of the merged samples.  A stable sort of the two sorted runs merges
+    # them, and its order says which sample each value came from.  Arrays are
+    # freed as soon as they are read, and the counts take the narrowest
+    # unsigned type that holds n1 + n2, so besides its inputs the step holds
+    # about 21 bytes per value (tracemalloc, n1 = n2 = 10^5).
+    merged = np.concatenate([a, b])
+    merged[:n1].sort()
+    merged[n1:].sort()
+    from_a = np.argsort(merged, kind="stable") < n1
+    merged.sort(kind="stable")
+    ends = np.empty(merged.size, bool)
+    np.not_equal(merged[1:], merged[:-1], out=ends[:-1])
+    ends[-1] = True
+    del merged
+    count_type = np.min_scalar_type(ends.size)
+    count_a = np.cumsum(from_a, dtype=count_type)
+    del from_a
+    count_b = np.arange(1, ends.size + 1, dtype=count_type)
+    count_b -= count_a
+    count_a = count_a[ends]
+    count_b = count_b[ends]
+    diff = count_a / n1
+    del count_a
+    diff -= count_b / n2
+    d = max(float(diff.max()), float(np.clip(-diff.min(), 0.0, 1.0)))
     if max(n1, n2) <= _KS_EXACT_MAX_N:
         lcm = (n1 // math.gcd(n1, n2)) * n2
         d = round(d * lcm) / lcm

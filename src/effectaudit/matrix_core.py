@@ -57,8 +57,11 @@ class SymMatrix:
 
     @classmethod
     def symmetrized(cls, a: np.ndarray) -> "SymMatrix":
+        """The matrix (a + a^T) / 2.  An exactly symmetric ``a``, such as
+        numpy's ``x @ x.T``, is that matrix bit for bit, so it is taken as it
+        is, without the sum's two p x p temporaries."""
         a = np.asarray(a, dtype=float)
-        return cls((a + a.T) / 2.0)
+        return cls(a if np.array_equal(a, a.T) else (a + a.T) / 2.0)
 
     @property
     def dim(self) -> int:

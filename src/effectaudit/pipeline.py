@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -90,6 +91,24 @@ MAX_COMPACT_JOINT_BYTES = MEMORY_BUDGET // 8
 MAX_CSV_BYTES = MEMORY_BUDGET // 32
 MAX_CLAIMS_BYTES = MEMORY_BUDGET // 16
 
+# What an audit of a table of width w (p predictors and the outcome) holds per
+# w^2 besides the table and its standardized copy, at its peak.  At the eigh
+# call: the predictors' correlation matrix, eigh's output vectors, and
+# LAPACK's copy of its input and syevd's 2 w^2 workspace, 40 bytes in all
+# (numpy allocates the last two outside tracemalloc's view, which measured
+# the rest as 16).  The rank test's QR holds the vectors and three copies of
+# a stacked block of at most n x w, about 32 bytes at n = w + 1.  ru_maxrss
+# rose by 33.5 bytes per w^2 beyond the two tables at p = 2000 and 3000 (n =
+# p + 2, 2-vCPU Xeon, numpy 2.4).  Rounded up to a power of two, as the file
+# caps are.
+_AUDIT_BYTES_PER_P2 = 64
+# The table and its standardized copy take 16 bytes a cell, and a CSV under
+# MAX_CSV_BYTES has at most MAX_CSV_BYTES / 2 cells (a digit and a separator
+# each), so the square arrays get the rest of the budget: 3547 columns.  A
+# CSV, or a check-claims matrix, wider than this is refused once its header
+# is read.
+MAX_AUDIT_P = math.isqrt((MEMORY_BUDGET - 8 * MAX_CSV_BYTES) // _AUDIT_BYTES_PER_P2)
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -145,9 +164,25 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
     return v
 
 
-def _split_lines(data: bytes) -> tuple[list[str], bool]:
+# The line boundaries of str.splitlines, as a pattern that ``re`` compiles on
+# first use rather than at import.
+_LINE_BREAK = "[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"
+
+
+def _check_width(width: int, what: str) -> None:
+    if width > MAX_AUDIT_P:
+        raise InvalidShapeError(
+            f"{what} has {width} columns; at most {MAX_AUDIT_P} fit the "
+            f"{MEMORY_BUDGET >> 20} MiB memory budget"
+        )
+
+
+def _split_lines(data: bytes, what: str = "CSV header") -> tuple[list[str], bool]:
     """Decode the file (dropping a leading BOM) into lines, without trailing blank
     ones, and say whether the lines after the first are plain: ASCII, without '_'.
+
+    A header wider than ``MAX_AUDIT_P`` columns raises, naming ``what``,
+    before the text is split.
 
     That test reads the text once.  ``str.isascii`` is O(1) on CPython, and
     after the first line the text holds only the later lines, line breaks and
@@ -158,6 +193,8 @@ def _split_lines(data: bytes) -> tuple[list[str], bool]:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CsvParseError(0, 0, f"not valid UTF-8: {exc}") from None
+    end = re.search(_LINE_BREAK, text)
+    _check_width(text.count(",", 0, end.start() if end else len(text)) + 1, what)
     lines = text.splitlines()
     while lines and lines[-1].strip() == "":
         lines.pop()
@@ -203,7 +240,8 @@ def _parse_body(lines: list[str], width: int, plain: bool) -> np.ndarray:
 def load_csv(data: bytes) -> Dataset:
     """Parse a CSV byte stream (header row, comma-separated numeric cells).
 
-    Error positions are 1-based and count the header as row 1.
+    A header of more than ``MAX_AUDIT_P`` columns is refused before the rows
+    are split.  Error positions are 1-based and count the header as row 1.
     """
     lines, plain = _split_lines(data)
     if not lines:
@@ -249,11 +287,12 @@ def _over_cap(path: str | os.PathLike, size: int, cap: int, what: str) -> str:
 
 
 def load_matrix_csv(path: str | os.PathLike) -> CorrelationMatrix:
-    """Read a square correlation matrix from CSV (header row is ignored).
+    """Read a square correlation matrix from CSV (the header row gives only
+    the width, at most ``MAX_AUDIT_P`` columns).
 
     The matrix is symmetrized exactly, then fully validated.
     """
-    lines, plain = _split_lines(_read_input(path, MAX_CSV_BYTES, "CSV file"))
+    lines, plain = _split_lines(_read_input(path, MAX_CSV_BYTES, "CSV file"), "matrix header")
     if len(lines) < 2:
         raise TooFewRowsError("matrix file needs a header row and at least one data row")
     width = len(lines[0].split(","))
@@ -262,7 +301,11 @@ def load_matrix_csv(path: str | os.PathLike) -> CorrelationMatrix:
             f"matrix must be square: header has {width} columns, found {len(lines) - 1} rows"
         )
     values = _parse_body(lines[1:], width, plain)
-    return validate_correlation(SymMatrix.symmetrized(values))
+    del lines
+    # The parsed values are dropped before eigh, the largest p x p step.
+    matrix = SymMatrix.symmetrized(values)
+    del values
+    return validate_correlation(matrix)
 
 
 def load_claims_json(
@@ -612,8 +655,10 @@ def audit_dataset(
     bound applies to the standardized coefficients.  One Gram product of the
     standardized table gives every correlation.  Every spectral quantity (PSD
     check, lambda_max, lambda_min, spectrum, singular values, Monte Carlo
-    weights) comes from the one decomposition of the predictors' block.
+    weights) comes from the one decomposition of the predictors' block.  A
+    table of more than ``MAX_AUDIT_P`` columns is refused.
     """
+    _check_width(len(ds.column_names), "table")
     y_idx = _resolve_outcome(ds, outcome)
     pred_idx = [i for i in range(len(ds.column_names)) if i != y_idx]
     p = len(pred_idx)
@@ -628,18 +673,23 @@ def audit_dataset(
         first = next(i for i in pred_idx + [y_idx] if i in exc.rows)
         raise ConstantColumnError(ds.column_names[first]) from None
     gram = rows @ rows.T
+    corr_xy = gram[pred_idx, y_idx]
     # A Gram product of standardized rows is PSD by construction, so the PSD
     # test takes the library's default tolerance; it only absorbs rounding.
-    cross = validate_correlation(SymMatrix.symmetrized(gram[np.ix_(pred_idx, pred_idx)]))
-    corr_xy = gram[pred_idx, y_idx]
+    # Each p x p array is dropped once read: the decomposition and the rank
+    # test are the largest steps, and each holds its own p x p buffers.
+    cross = SymMatrix.symmetrized(gram[np.ix_(pred_idx, pred_idx)])
+    del gram
+    cross = validate_correlation(cross)
 
     vdc = vdc_check(corr_xy, cross)
     eigen = eigen_bound_check(corr_xy, cross)
     fit = fit_least_squares(SecondMomentMatrix(cross.base), corr_xy)
     regression = BoundReport.from_sides(BoundKind.REGRESSION, fit.norm_sq, fit.bound)
 
-    spectrum = cross.base.eigen.values
-    sv = svd(rows, pred_idx, cross.base.eigen)
+    dec = cross.base.eigen
+    del cross
+    sv = svd(rows, pred_idx, dec)
     mc = expected_sum_sq_mc(sv, ds.n, trials, seed)
 
     section = DatasetAuditSection(
@@ -647,16 +697,13 @@ def audit_dataset(
         p=p,
         outcome=ds.column_names[y_idx],
         predictors=[ds.column_names[i] for i in pred_idx],
-        predictor_correlations=cross.entries.tolist(),
         outcome_correlations=corr_xy.tolist(),
-        spectrum=spectrum.tolist(),
+        spectrum=dec.values.tolist(),
+        rank=int(np.count_nonzero(sv)),
         vdc=vdc,
         eigen=eigen,
         regression=regression,
         beta=fit.beta.tolist(),
-        lambda_min=fit.lambda_min,
-        singular_values=sv.tolist(),
-        sigma1_sq=float(sv[0] ** 2),
         expected_sum_sq=expected_sum_sq(ds.n, p),
         mc=mc,
     )

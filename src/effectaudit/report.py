@@ -29,20 +29,26 @@ TOOL_NAME = "effectaudit"
 
 @dataclass(frozen=True)
 class DatasetAuditSection:
+    """An audit of one dataset, in O(p) numbers.
+
+    ``spectrum`` holds the eigenvalues of the predictors' correlation matrix,
+    descending, and ``rank`` how many of them are real.  The singular values
+    are ``sqrt(max(spectrum[k], 0))`` for k < rank and 0 from there on; the
+    worst-case sum of squared correlations is ``spectrum[0]``, and lambda_min
+    is ``spectrum[-1]``.
+    """
+
     n: int
     p: int
     outcome: str
     predictors: list[str]
-    predictor_correlations: list[list[float]]
     outcome_correlations: list[float]
     spectrum: list[float]
+    rank: int
     vdc: BoundReport
     eigen: BoundReport
     regression: BoundReport
     beta: list[float]
-    lambda_min: float
-    singular_values: list[float]
-    sigma1_sq: float
     expected_sum_sq: float
     mc: MonteCarloEstimate
 
@@ -216,7 +222,7 @@ def render_text(r: DiagnosticReport) -> str:
         lines += _bound_lines("sum |corr|   vs sqrt(p + cross mass)", d.vdc)
         lines += _bound_lines("sum corr^2   vs lambda_max", d.eigen)
         lines += _bound_lines("||beta||^2   vs 1/lambda_min", d.regression)
-        lines.append(f"  worst-case sum of squared correlations: {_fmt(d.sigma1_sq)}")
+        lines.append(f"  worst-case sum of squared correlations: {_fmt(d.spectrum[0])}")
         lines.append(
             f"  sphere average of sum corr^2: exact {_fmt(d.expected_sum_sq)}, "
             f"simulated {_fmt(d.mc.mean)} (stderr {_fmt(d.mc.stderr)}, "

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from effectaudit import cli, errors, finite_sample, parse_report, pipeline
@@ -803,17 +804,27 @@ def test_mi_check_json_route_refuses_a_file_over_its_cap(capsys, tmp_path):
     assert 'json.dumps(obj, separators=(",", ":"))' in err
 
 
+# Linux carries ru_maxrss across fork and exec, so a child of the test process
+# starts at the test process's high-water mark, and a rise below it reads as 0.
+# VmHWM, the peak of the child's own address space, starts afresh at exec.
 _MAXRSS_RUNNER = """
-import resource, sys
+import os, resource, sys
 from effectaudit.cli import main
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+def peak():
+    if os.path.exists("/proc/self/status"):
+        with open("/proc/self/status") as fh:
+            return int(fh.read().split("VmHWM:")[1].split()[0])
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+before = peak()
 code = main(sys.argv[1:])
-print(code, before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(code, before, peak())
 """
 
 
 def maxrss_rise(*argv):
-    """The exit code, stderr and ru_maxrss rise (KiB) of main(argv) in a fresh interpreter."""
+    """The exit code, stderr and peak-RSS rise (KiB) of main(argv) in a fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c", _MAXRSS_RUNNER, *argv],
         capture_output=True, text=True, timeout=60, check=True,
@@ -916,3 +927,49 @@ def test_input_file_over_its_cap_is_refused_before_it_is_read(tmp_path, kind):
     code, err, rise = maxrss_rise(*capped_argv(kind, path))
     assert code == 2 and "-byte cap for a" in err
     assert rise < 8 * 1024, f"ru_maxrss rose by {rise} KiB"
+
+
+def write_digit_csv(path, rows: int, width: int, header: str) -> None:
+    """A CSV of random one-digit cells under a given header line."""
+    digits = np.random.default_rng(rows).integers(ord("0"), ord("9") + 1, (rows, 2 * width),
+                                                  dtype=np.uint8)
+    digits[:, 1::2] = ord(",")
+    digits[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        fh.write(digits.tobytes())
+
+
+def test_audit_refuses_a_csv_wider_than_the_cap_once_its_header_is_read(tmp_path):
+    # n = 4002 rows of p = 4000 predictors and the outcome, one digit each:
+    # 32 MB, under MAX_CSV_BYTES.  Audited in full, it took this tool past
+    # 1.5 GB; refused at its header, it holds the file's bytes and text alone.
+    width = 4001
+    assert width > pipeline.MAX_AUDIT_P
+    path = tmp_path / "wide.csv"
+    write_digit_csv(path, 4002, width, ",".join(f"x{j}" for j in range(width - 1)) + ",y")
+    assert os.path.getsize(path) <= pipeline.MAX_CSV_BYTES
+    code, err, rise = maxrss_rise("audit", str(path), "--outcome", "y")
+    assert code == 2
+    assert f"CSV header has {width} columns; at most {pipeline.MAX_AUDIT_P} fit" in err
+    assert rise * 1024 < 3 * pipeline.MAX_CSV_BYTES, f"ru_maxrss rose by {rise} KiB"
+
+
+@pytest.mark.parametrize("kind", ["csv", "matrix"])
+def test_width_cap_is_inclusive(capsys, tmp_path, monkeypatch, kind):
+    # a small stand-in cap, so both sides of it run quickly; a matrix is
+    # refused before its body is parsed, so an unparsable body is not reached
+    monkeypatch.setattr(pipeline, "MAX_AUDIT_P", 3)
+    path = tmp_path / "input"
+    if kind == "csv":
+        path.write_text("a,b,y\n1,2,3\n2,1,5\n3,3,4\n4,5,1\n")
+        assert run(capsys, *capped_argv(kind, path))[0] == 0
+        path.write_text("a,b,c,y\ngoat\n")
+    else:
+        path.write_text("a,b,c\n1,0.1,0.1\n0.1,1,0.1\n0.1,0.1,1\n")
+        assert run(capsys, "check-claims", "--tau", "0.1", "--p", "3", "--cross", str(path))[0] == 0
+        path.write_text("a,b,c,d\ngoat\n")
+    code, out, err = run(capsys, *capped_argv(kind, path))
+    what = "CSV header" if kind == "csv" else "matrix header"
+    assert code == 2 and out == ""
+    assert f"{what} has 4 columns; at most 3 fit the 1024 MiB memory budget" in err

@@ -898,15 +898,39 @@ def random_design(rng: np.random.Generator, n: int, p: int) -> Dataset:
     return Dataset(column_names=names, table=np.vstack([x.T, y]))
 
 
+def report_singular_values(d: DatasetAuditSection) -> np.ndarray:
+    """The singular values a report gives: sqrt(max(spectrum, 0)), zero from rank on."""
+    sv = np.sqrt(np.maximum(d.spectrum, 0.0))
+    sv[d.rank:] = 0.0
+    return sv
+
+
+def audit_with_cross(ds: Dataset, outcome, **kwargs):
+    """``audit_dataset``'s report section and the predictors' correlation matrix
+    it validated on its own path, which the report no longer carries."""
+    seen = []
+
+    def keep(m):
+        seen.append(validate_correlation(m))
+        return seen[-1]
+
+    with mock.patch.object(pipeline, "validate_correlation", keep):
+        d = audit_dataset(ds, outcome, **kwargs).dataset
+    (cross,) = seen
+    return d, cross
+
+
 def test_audit_dataset_reads_one_spectrum():
-    # spectrum, the eigen bound's rhs and lambda_min come from one decomposition
+    # spectrum, the eigen bound's rhs, the regression bound's 1 / lambda_min
+    # and the worst case come from one decomposition
     rng = np.random.default_rng(16)
     for _ in range(60):
         ds = random_design(rng, 200, int(rng.integers(2, 21)))
         d = audit_dataset(ds, "y", trials=2).dataset
         assert d.spectrum[0] == d.eigen.rhs
-        assert d.spectrum[-1] == d.lambda_min
-        assert d.sigma1_sq == pytest.approx(d.spectrum[0], rel=1e-12)
+        assert d.regression.rhs == 1.0 / d.spectrum[-1]
+        assert report_singular_values(d)[0] ** 2 == pytest.approx(d.spectrum[0], rel=1e-12)
+        assert d.rank == d.p
 
 
 @pytest.fixture
@@ -947,9 +971,9 @@ def test_regression_coefficients_use_the_bounds_cutoff():
     x[:, 2] = x[:, 0] + 1e-6 * rng.standard_normal(5000)
     y = x @ [0.3, -0.2, 0.1] + rng.standard_normal(5000)
     ds = Dataset(column_names=("a", "b", "c", "y"), table=np.column_stack([x, y]).T)
-    d = audit_dataset(ds, "y", trials=2).dataset
+    d, cross = audit_with_cross(ds, "y", trials=2)
     assert d.regression.rhs == math.inf and d.regression.lhs < 1.0
-    dropped = np.linalg.eigh(d.predictor_correlations)[1][:, 0]
+    dropped = np.linalg.eigh(cross.entries)[1][:, 0]
     assert abs(dropped @ d.beta) < 1e-6
 
 
@@ -1059,16 +1083,13 @@ def per_column_audit_json(ds: Dataset, outcome: str, trials: int, seed: int) -> 
         p=len(pred_idx),
         outcome=ds.column_names[y_idx],
         predictors=[ds.column_names[i] for i in pred_idx],
-        predictor_correlations=[[float(v) for v in row] for row in cross.entries],
         outcome_correlations=[float(v) for v in corr_xy],
         spectrum=[float(v) for v in cross.base.eigen.values],
+        rank=sum(1 for v in sv if v > 0.0),
         vdc=vdc_check(corr_xy, cross),
         eigen=eigen_bound_check(corr_xy, cross),
         regression=BoundReport.from_sides(BoundKind.REGRESSION, fit.norm_sq, fit.bound),
         beta=[float(v) for v in fit.beta],
-        lambda_min=fit.lambda_min,
-        singular_values=[float(v) for v in sv],
-        sigma1_sq=float(sv[0] ** 2),
         expected_sum_sq=expected_sum_sq(ds.n, len(pred_idx)),
         mc=expected_sum_sq_mc(sv, ds.n, trials, seed),
     )
@@ -1113,6 +1134,59 @@ def test_audit_dataset_memory_is_one_copy_of_the_table(outcome):
     assert peak <= 1.25 * ds.table.nbytes, f"{peak / ds.table.nbytes:.2f} tables"
 
 
+@given(p=st.integers(min_value=2, max_value=200), extra=st.integers(min_value=1, max_value=40),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_audit_report_length_is_linear_in_p(p, extra, seed):
+    # Each predictor adds its name and three numbers (its correlation with the
+    # outcome, an eigenvalue, a coefficient); the rest is a fixed envelope of
+    # about 1300 characters.  A p x p list would add about 25 p characters
+    # per column, 5000 at p = 200.
+    rng = np.random.default_rng(seed)
+    names = tuple(f"x{i}" for i in range(p)) + ("y",)
+    ds = Dataset(column_names=names, table=rng.standard_normal((p + 1, p + extra)))
+    text = render_report(audit_dataset(ds, "y", trials=2, seed=seed), "json")
+    assert len(text) <= 512 * (p + 1), f"{len(text) / (p + 1):.0f} characters per column"
+
+
+@pytest.mark.parametrize("p", [200, 400])
+def test_audit_dataset_memory_per_width_squared_is_the_caps(p):
+    # MAX_AUDIT_P is derived from _AUDIT_BYTES_PER_P2, the bytes per w^2 an
+    # audit of a w-column table holds besides the table and its standardized
+    # copy.  numpy's LAPACK calls allocate outside tracemalloc's view: at the
+    # eigh call, a copy of the input and syevd's workspace (24 bytes per w^2,
+    # the most at any step), so the traced peak must leave that much room.
+    # n = p + 2 is the shape where the w^2 arrays weigh most against the table.
+    w, n = p + 1, p + 2
+    rng = np.random.default_rng(p)
+    ds = Dataset(column_names=tuple(f"c{j}" for j in range(w)),
+                 table=rng.integers(0, 10, (w, n)).astype(float))
+    audit_dataset(ds, -1, trials=2)
+    for outcome in (-1, 0, p // 2):
+        tracemalloc.start()
+        try:
+            audit_dataset(ds, outcome, trials=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        untraced = 24 * w * w
+        square = peak - ds.table.nbytes + untraced  # the standardized copy is n * w too
+        assert square <= pipeline._AUDIT_BYTES_PER_P2 * w * w, f"{square / w / w:.1f} bytes per w^2"
+    cap = pipeline.MAX_AUDIT_P
+    budget = pipeline.MEMORY_BUDGET
+    assert 8 * pipeline.MAX_CSV_BYTES + pipeline._AUDIT_BYTES_PER_P2 * cap * cap <= budget
+    assert 8 * pipeline.MAX_CSV_BYTES + pipeline._AUDIT_BYTES_PER_P2 * (cap + 1) ** 2 > budget
+
+
+def test_audit_refuses_a_table_wider_than_the_cap(monkeypatch):
+    ds = Dataset(column_names=("a", "b", "y"), table=np.random.default_rng(5).standard_normal((3, 9)))
+    monkeypatch.setattr(pipeline, "MAX_AUDIT_P", 3)
+    assert audit_dataset(ds, "y", trials=2).dataset.p == 2
+    monkeypatch.setattr(pipeline, "MAX_AUDIT_P", 2)
+    with pytest.raises(InvalidShapeError, match=r"^table has 3 columns; at most 2 fit the 1024 MiB"):
+        audit_dataset(ds, "y", trials=2)
+
+
 def offset_dataset(n: int, width: int, offset: float, spread: float, seed: int) -> Dataset:
     """Correlated normal columns times ``spread``, each moved by +-``offset``
     and rounded to float64 there."""
@@ -1140,7 +1214,7 @@ def test_audit_correlations_are_accurate_at_any_offset(k, n, p, outcome, seed):
     # under (1.01 n + 12) u, within (n + 10) eps.  One centering pass erred by
     # 5.7e-13 at 1e10.
     ds = offset_dataset(n, p + 1, 10.0**k, 1.0, seed)
-    rep = audit_dataset(ds, outcome, trials=2).dataset
+    rep, cross = audit_with_cross(ds, outcome, trials=2)
     table = ds.table.astype(np.longdouble)
     table -= table.mean(axis=1, keepdims=True)
     table -= table.mean(axis=1, keepdims=True)
@@ -1149,7 +1223,7 @@ def test_audit_correlations_are_accurate_at_any_offset(k, n, p, outcome, seed):
     y = outcome % (p + 1)
     pred = [i for i in range(p + 1) if i != y]
     tol = (n + 10) * np.finfo(float).eps
-    got_cross = np.array(rep.predictor_correlations, dtype=np.longdouble)
+    got_cross = np.array(cross.entries, dtype=np.longdouble)
     assert np.max(np.abs(got_cross - ref[np.ix_(pred, pred)])) <= tol
     got_xy = np.array(rep.outcome_correlations, dtype=np.longdouble)
     assert np.max(np.abs(got_xy - ref[pred, y])) <= tol
