@@ -227,31 +227,26 @@ def fit_least_squares(m: SecondMomentMatrix, c: np.ndarray) -> RegressionSolutio
 
     ``m`` is the second-moment matrix E(X X^T) and ``c`` the cross-moment
     vector E(y X) for a unit-variance y under the same distribution (the
-    caller's responsibility).  A numerically singular ``m`` (lambda_min at or
-    below RANK_TOLERANCE relative to lambda_max) yields a bound of +inf: with
-    a zero eigenvalue the norm bound is trivially infinite.  Its coefficients
-    are the minimum-norm solution with every direction at or below that same
-    cutoff dropped, so beta has no part along a direction the bound calls
-    singular.
+    caller's responsibility).  Both come from ``m.base.eigen``, m's one
+    decomposition V diag(lambda) V^T (no LU, no ``lstsq``): beta = V_K (V_K^T c
+    / lambda_K) over the directions K with lambda > RANK_TOLERANCE * max(1,
+    lambda_max).  The rest, negative eigenvalues within the PSD tolerance too,
+    are singular: beta has no part along them, and if any exist the bound is
+    +inf, else 1/lambda_min.
     """
     cv = np.asarray(c, dtype=float)
     if cv.ndim != 1 or cv.size != m.dim:
         raise DimensionMismatchError(
             f"c has shape {cv.shape}, expected ({m.dim},)"
         )
-    lam_min, lam_max = m.min_eigenvalue, m.max_eigenvalue
-    cutoff = RANK_TOLERANCE * max(1.0, lam_max)
-    if lam_min <= cutoff:
-        bound = math.inf
-        if lam_max <= cutoff:  # every direction is singular
-            beta = np.zeros(m.dim)
-        else:  # lstsq drops the singular values at or below rcond * sigma_max
-            beta = np.linalg.lstsq(m.entries, cv, rcond=cutoff / lam_max)[0]
-    else:
-        beta = np.linalg.solve(m.entries, cv)
-        bound = 1.0 / lam_min
+    dec = m.base.eigen
+    # The values descend, so the kept directions are the first k.
+    k = int(np.count_nonzero(dec.values > RANK_TOLERANCE * max(1.0, dec.max_value)))
+    v = dec.vectors[:, :k]
+    beta = v @ ((v.T @ cv) / dec.values[:k])
+    bound = 1.0 / dec.min_value if k == m.dim else math.inf
     norm_sq = float(np.dot(beta, beta))
-    return RegressionSolution(beta=beta, norm_sq=norm_sq, bound=bound, lambda_min=lam_min)
+    return RegressionSolution(beta=beta, norm_sq=norm_sq, bound=bound, lambda_min=dec.min_value)
 
 
 def tightness_instance(p: int, tau: float) -> TightnessInstance:

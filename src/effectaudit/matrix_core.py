@@ -114,7 +114,8 @@ class SecondMomentMatrix:
     """Matrix of second moments E(X_i X_j): symmetric positive semidefinite.
 
     The eigenvalues are those of ``base.eigen``, the base matrix's one
-    decomposition.
+    decomposition.  ``fit_least_squares`` solves from its eigenpairs (no LU or
+    ``lstsq``), dropping each lambda <= 1e-12 * max(1, lambda_max), negatives too.
     """
 
     base: SymMatrix

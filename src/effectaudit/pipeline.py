@@ -164,9 +164,9 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
     return v
 
 
-# The line boundaries of str.splitlines, as a pattern that ``re`` compiles on
-# first use rather than at import.
-_LINE_BREAK = "[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"
+# The line boundaries of str.splitlines in UTF-8, where none is part of another
+# character, as a pattern that ``re`` compiles on first use rather than at import.
+_LINE_BREAK = rb"[\n\r\v\f\x1c\x1d\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]"
 
 
 def _check_width(width: int, what: str) -> None:
@@ -182,19 +182,19 @@ def _split_lines(data: bytes, what: str = "CSV header") -> tuple[list[str], bool
     ones, and say whether the lines after the first are plain: ASCII, without '_'.
 
     A header wider than ``MAX_AUDIT_P`` columns raises, naming ``what``,
-    before the text is split.
+    before the file is decoded: a BOM holds no comma.
 
-    That test reads the text once.  ``str.isascii`` is O(1) on CPython, and
+    The plain test reads the text once.  ``str.isascii`` is O(1) on CPython, and
     after the first line the text holds only the later lines, line breaks and
     blank lines, so a '_' there is in a later line.  Only a text that is not all
     ASCII has its later lines tested one by one.
     """
+    end = re.search(_LINE_BREAK, data)
+    _check_width(data.count(b",", 0, end.start() if end else len(data)) + 1, what)
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CsvParseError(0, 0, f"not valid UTF-8: {exc}") from None
-    end = re.search(_LINE_BREAK, text)
-    _check_width(text.count(",", 0, end.start() if end else len(text)) + 1, what)
     lines = text.splitlines()
     while lines and lines[-1].strip() == "":
         lines.pop()

@@ -943,7 +943,8 @@ def write_digit_csv(path, rows: int, width: int, header: str) -> None:
 def test_audit_refuses_a_csv_wider_than_the_cap_once_its_header_is_read(tmp_path):
     # n = 4002 rows of p = 4000 predictors and the outcome, one digit each:
     # 32 MB, under MAX_CSV_BYTES.  Audited in full, it took this tool past
-    # 1.5 GB; refused at its header, it holds the file's bytes and text alone.
+    # 1.5 GB; refused at its header, which is read before the file is
+    # decoded, it holds the file's bytes alone.
     width = 4001
     assert width > pipeline.MAX_AUDIT_P
     path = tmp_path / "wide.csv"
@@ -952,7 +953,7 @@ def test_audit_refuses_a_csv_wider_than_the_cap_once_its_header_is_read(tmp_path
     code, err, rise = maxrss_rise("audit", str(path), "--outcome", "y")
     assert code == 2
     assert f"CSV header has {width} columns; at most {pipeline.MAX_AUDIT_P} fit" in err
-    assert rise * 1024 < 3 * pipeline.MAX_CSV_BYTES, f"ru_maxrss rose by {rise} KiB"
+    assert rise * 1024 < 1.5 * os.path.getsize(path), f"ru_maxrss rose by {rise} KiB"
 
 
 @pytest.mark.parametrize("kind", ["csv", "matrix"])

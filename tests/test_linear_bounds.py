@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from effectaudit import (
@@ -26,9 +26,10 @@ from effectaudit.errors import (
     DimensionMismatchError,
     EntryOutOfRangeError,
     InvalidShapeError,
+    NotPositiveSemiDefiniteError,
     TauOutOfRangeError,
 )
-from effectaudit.linear_bounds import BoundKind
+from effectaudit.linear_bounds import RANK_TOLERANCE, BoundKind
 
 from test_matrix_core import random_correlation
 
@@ -168,6 +169,64 @@ def test_fit_least_squares_singular_gives_infinite_bound():
 def test_fit_least_squares_zero_matrix_gives_zero_beta():
     fit = fit_least_squares(SecondMomentMatrix(SymMatrix(np.zeros((2, 2)))), np.array([0.5, 0.5]))
     assert fit.bound == math.inf and fit.beta.tolist() == [0.0, 0.0]
+
+
+EPS = np.finfo(float).eps
+
+
+def second_moment(seed: int, spectrum) -> SecondMomentMatrix:
+    """Q diag(spectrum) Q^T for a seeded random orthogonal Q."""
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(spectrum),) * 2))[0]
+    return SecondMomentMatrix(SymMatrix.symmetrized((q * spectrum) @ q.T))
+
+
+def test_fit_least_squares_drops_a_negative_eigenvalue_within_tolerance():
+    # -5e-9 passes the 1e-8 PSD tolerance, and its |lambda| is far above the
+    # cutoff, but it is not a kept direction: beta leaning on it would have a
+    # squared norm near 0.01 / (5e-9)^2.  eigh's vectors are orthonormal to a
+    # few eps, which is as close as beta can be to the dropped one.
+    m = second_moment(0, [1.5, 0.8, -5e-9])
+    fit = fit_least_squares(m, np.full(3, 0.1))
+    assert fit.bound == math.inf and fit.norm_sq < 1.0
+    dropped = m.base.eigen.vectors[:, 2]
+    assert abs(dropped @ fit.beta) <= 3 * EPS * math.sqrt(fit.norm_sq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kept=st.lists(st.floats(1e-6, 10.0), max_size=5),
+    dropped=st.lists(st.one_of(st.just(0.0), st.floats(-1e-8, 0.0, exclude_max=True)), max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_least_squares_is_the_pseudo_inverse_on_the_kept_directions(kept, dropped, seed):
+    # Every eigenvalue at or below the cutoff (zeros, and negatives within the
+    # PSD tolerance) is dropped; the kept ones are well above it.  Reference:
+    # pinv of the matrix rebuilt from the kept pairs alone, cut far below
+    # lambda_K but far above the rebuild's rounding.  Forming and inverting it
+    # moves the result by about p eps lambda_max ||c|| / lambda_K^2, that is
+    # p eps kappa_K ||c|| / lambda_K; measured at under 3 times that.
+    p = len(kept) + len(dropped)
+    assume(p >= 1)
+    try:
+        m = second_moment(seed, kept + dropped)
+    except NotPositiveSemiDefiniteError:  # -1e-8 less a rounding
+        assume(False)
+    c = np.random.default_rng(seed).uniform(-1.0, 1.0, p)
+    fit = fit_least_squares(m, c)
+    dec = m.base.eigen
+    k = len(kept)
+    assert np.count_nonzero(dec.values > RANK_TOLERANCE * max(1.0, dec.max_value)) == k
+    assert (fit.bound == math.inf) == (k < p)
+    vk, lk = dec.vectors[:, :k], dec.values[:k]
+    if k:
+        ref = np.linalg.pinv((vk * lk) @ vk.T, rcond=1e-10) @ c
+        tol = 8 * p * EPS * (lk[0] / lk[-1]) * np.linalg.norm(c) / lk[-1]
+        assert np.linalg.norm(fit.beta - ref) <= tol
+    else:
+        assert not fit.beta.any()
+    # orthogonal to every dropped direction, as far as eigh's vectors are
+    assert np.abs(dec.vectors[:, k:].T @ fit.beta).max(initial=0.0) <= (
+        4 * p * EPS * math.sqrt(fit.norm_sq))
 
 
 def test_tightness_instance_formula_and_limits():

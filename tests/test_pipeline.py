@@ -1,5 +1,6 @@
 """CSV/JSON loading, dataset audits, claims audits, and report round-trips."""
 
+import importlib.util
 import itertools
 import json
 import math
@@ -317,6 +318,37 @@ def test_split_lines_route_is_the_line_by_line_test(header, body, blanks, brk, b
     assert lines[0] == header
     body = lines[1:]
     assert plain == (all(map(str.isascii, body)) and not any("_" in line for line in body))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(["a", "\xc5", "\xe9", "\u1029", "\u20a8", "\u2603", " "]),
+             max_size=4).map("".join),
+    st.integers(0, 5),
+    st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                     "\u2028", "\u2029"]),
+    st.booleans(),
+)
+def test_width_is_counted_in_the_header_bytes(name, commas, brk, bom):
+    # The header's width is read before the file is decoded: its end is each
+    # line break str.splitlines honours, spelt in UTF-8, and no other
+    # character's bytes (\xc5 is c3 85, \u1029 e1 80 a9, \u20a8 e2 82 a8) end it.
+    header = ",".join([name] * (commas + 1))
+    data = ("\ufeff" if bom else "").encode() + brk.join([header, "1,2,3", "4,5,6"]).encode()
+    with mock.patch.object(pipeline, "MAX_AUDIT_P", commas + 1):
+        assert _split_lines(data)[0][0] == header
+    with mock.patch.object(pipeline, "MAX_AUDIT_P", commas):
+        with pytest.raises(InvalidShapeError, match=f"^CSV header has {commas + 1} columns;"):
+            _split_lines(data)
+
+
+def test_an_over_wide_header_is_refused_before_the_file_is_decoded(monkeypatch):
+    data = b"a,b,c,\xff\n1,2,3,4\n5,6,7,8\n"
+    with pytest.raises(CsvParseError, match="not valid UTF-8"):
+        _split_lines(data)
+    monkeypatch.setattr(pipeline, "MAX_AUDIT_P", 3)
+    with pytest.raises(InvalidShapeError, match="^CSV header has 4 columns;"):
+        _split_lines(data)
 
 
 def test_load_csv_drops_bom_and_keeps_header_characters():
@@ -960,6 +992,28 @@ def test_audit_dataset_decomposes_once(eig_calls, design):
         ds = load_csv_file(DUPLICATED_CSV)
     audit_dataset(ds, "y", trials=1000)
     assert eig_calls == {"eigh": 1, "eigvalsh": 0}
+
+
+def test_audit_factors_its_correlation_matrix_once(eig_calls, monkeypatch, tmp_path):
+    # The simulate workload's n = 2000, p = 20 design: its spectrum certifies
+    # the rank, and the coefficients come from the same decomposition, so no
+    # LU, least-squares, SVD or QR routine is reached.
+    spec = importlib.util.spec_from_file_location(
+        "_bench_workloads", os.path.join(os.path.dirname(HERE), "benchmarks", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    path = tmp_path / "sim.csv"
+    workloads.write_dataset_csv(path, 2000, 20, np.random.default_rng(1))
+    ds = load_csv_file(path)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a second factorization")
+
+    for name in ("solve", "lstsq", "svd", "qr"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    d = audit_dataset(ds, "y", trials=1000).dataset
+    assert eig_calls == {"eigh": 1, "eigvalsh": 0}
+    assert d.rank == d.p == 20 and d.regression.rhs == 1.0 / d.spectrum[-1]
 
 
 def test_regression_coefficients_use_the_bounds_cutoff():
